@@ -162,8 +162,19 @@ class ReferenceBody:
         return self.P @ q.reshape(-1, 3)
 
     def node_gradients(self, q: np.ndarray) -> np.ndarray:
-        """Deformation gradients Dzeta(x_q) at all nodes, shape (nq, 3, 3)."""
-        return np.einsum("ai,qaj->qij", q.reshape(-1, 3), self.Gm)
+        """Deformation gradients Dzeta(x_q) at all nodes, shape (nq, 3, 3).
+
+        F_q = A^T Dm(x_q) with A = q.reshape(-1, 3), as one BLAS contraction.
+        """
+        return np.tensordot(self.Gm, q.reshape(-1, 3), axes=([1], [0])).transpose(0, 2, 1)
+
+    def stress_divergence(self, P: np.ndarray) -> np.ndarray:
+        """Galerkin force of a nodal first-Piola field P (nq, 3, 3), shape (nm, 3).
+
+        Row a is sum_q w_q P_q grad m_a(x_q): the quadrature of P : Dphi, the
+        adjoint of node_gradients under the quadrature weights.
+        """
+        return np.tensordot(self.weights[:, None, None] * P, self.Gm, axes=([0, 2], [0, 2])).T
 
     def barycenter(self, q: np.ndarray) -> np.ndarray:
         """Mass center of the deformed body (exact for polynomial maps)."""

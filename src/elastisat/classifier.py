@@ -19,7 +19,12 @@ from .body_model import DeformationState, ReferenceBody, skew
 from .dynamics import Trajectory, comoving_decomposition, instantaneous_spin
 from .energetics import MaterialParams
 from .equilibria import RelativeEquilibrium, solve_relative_equilibrium
-from .errors import InsufficientDataError, NoConvergenceError
+from .errors import (
+    ImpactProximityError,
+    InsufficientDataError,
+    NoConvergenceError,
+    SingularConfigurationError,
+)
 
 
 class Outcome(str, Enum):
@@ -263,7 +268,7 @@ def classify_outcome(
             body, material, L0,
             state0=st, omega0=omega_spin, tol=thresholds.equilibrium_tol,
         )
-    except NoConvergenceError as exc:
+    except (NoConvergenceError, SingularConfigurationError, ImpactProximityError) as exc:
         return _undetermined(
             f"no relative equilibrium found at the trajectory momentum: {exc}", term
         )

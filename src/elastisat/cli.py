@@ -310,15 +310,16 @@ def _run_sweep_point(payload):
         }
     except ElastisatError as exc:
         outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "error.json", {"index": index, "error": str(exc)})
+        _write_json(outdir / "error.json",
+                    {"index": index, "error": str(exc), "error_type": type(exc).__name__})
         return {
             "index": index,
             "outcome": "error",
             "termination": "",
             "reason": str(exc),
-            "H_final": "",
-            "L_z_final": "",
-            "t_final": "",
+            "H_final": None,
+            "L_z_final": None,
+            "t_final": None,
         }
 
 
@@ -355,9 +356,8 @@ def _cmd_sweep(args) -> int:
             writer.writerow([
                 row["index"], json.dumps(value), row["outcome"], row["termination"],
                 row["reason"],
-                repr(row["H_final"]) if row["H_final"] != "" else "",
-                repr(row["L_z_final"]) if row["L_z_final"] != "" else "",
-                repr(row["t_final"]) if row["t_final"] != "" else "",
+                *("" if row[k] is None else repr(row[k])
+                  for k in ("H_final", "L_z_final", "t_final")),
             ])
     _write_manifest(outdir, sweep_hash, ["summary.csv"], time.perf_counter() - started)
     counts = {}

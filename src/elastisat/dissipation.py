@@ -44,17 +44,24 @@ def _cauchy_green_rate_nodes(F, Fdot):
     return FtFd + np.swapaxes(FtFd, 1, 2)
 
 
+def viscous_first_piola(F, Fdot, eta: float) -> np.ndarray:
+    """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (nq, 3, 3)."""
+    return eta * np.matmul(F, _cauchy_green_rate_nodes(F, Fdot))
+
+
 def viscous_force(
     body: ReferenceBody, state: DeformationState, params: ViscosityParams
 ) -> np.ndarray:
-    """Generalized viscous force g, to be subtracted from the conservative force."""
+    """Generalized viscous force g, to be subtracted from the conservative force.
+
+    The viscous half of energetics.generalized_force: the same nodal stress
+    and the same quadrature.
+    """
     if params.eta == 0.0:
         return np.zeros_like(state.q)
     F = body.node_gradients(state.q)
     Fdot = body.node_gradients(state.qdot)
-    Cdot = _cauchy_green_rate_nodes(F, Fdot)
-    Pv = params.eta * np.einsum("qik,qkj->qij", F, Cdot)
-    return np.einsum("q,qij,qaj->ai", body.weights, Pv, body.Gm).reshape(-1)
+    return body.stress_divergence(viscous_first_piola(F, Fdot, params.eta)).reshape(-1)
 
 
 def dissipation_rate(

@@ -1,7 +1,8 @@
 """Equations of motion in Galerkin coordinates and their time integration.
 
 The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
-matrix M prefactored once, f the exact gradient force of the conservative
+matrix M prefactored once. f - g comes from energetics.generalized_force,
+the one force kernel: f is the exact gradient force of the conservative
 potentials and g the viscous force. Trajectories carry per-sample energy
 monitors and rigidity diagnostics; termination is event-based (impact,
 escape ceiling, loss of regularity).
@@ -9,21 +10,15 @@ escape ceiling, loss of regularity).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .body_model import DeformationState, ReferenceBody, require_regular
-from .dissipation import (
-    ViscosityParams,
-    _cauchy_green_rate_nodes,
-    dissipation_rate,
-    max_cauchy_green_rate,
-    viscous_force,
-)
-from .energetics import MaterialParams, conservative_force, energy_breakdown, EnergyBreakdown
-from .errors import ImpactProximityError, InvalidParameterError, SingularConfigurationError
+from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
+from .energetics import MaterialParams, energy_breakdown, EnergyBreakdown, generalized_force
+from .errors import InvalidParameterError
 
 MONITOR_COLUMNS = (
     "t", "K", "U_g", "U_sg", "U_e", "H",
@@ -123,48 +118,13 @@ class Trajectory:
         return rows
 
 
-_EYE3 = np.eye(3)
-
-
-def _node_gradients_fast(Gm, A):
-    """F at every node: F_q = A^T Dm(x_q), as one BLAS contraction."""
-    return np.tensordot(Gm, A, axes=([1], [0])).transpose(0, 2, 1)
-
-
-def _stress_divergence(weights, Gm, P):
-    """Galerkin force of a nodal first-Piola field: sum_q w_q P_q Dm_q^T per mode."""
-    return np.tensordot(weights[:, None, None] * P, Gm, axes=([0, 2], [0, 2])).T
-
-
-def _accel(body, A, Adot, material, viscosity):
-    """Acceleration coefficients, reusing one pass of node tables."""
-    Z = body.P @ A
-    F = _node_gradients_fast(body.Gm, A)
-    m = body.density * body.weights
-
-    r2 = np.sum(Z * Z, axis=1)
-    dU_dZ = material.kM * (m / (r2 * np.sqrt(r2)))[:, None] * Z
-    if material.self_gravity_k > 0.0:
-        diff = Z[:, None, :] - Z[None, :, :]
-        s2 = np.einsum("qpi,qpi->qp", diff, diff) + material.softening**2
-        np.fill_diagonal(s2, 1.0)
-        inv3 = s2 ** (-1.5)
-        np.fill_diagonal(inv3, 0.0)
-        coeff = m[:, None] * m[None, :] * inv3
-        dU_dZ += 2.0 * material.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff)
-
-    E = 0.5 * (np.matmul(F.transpose(0, 2, 1), F) - _EYE3)
-    trE = E[:, 0, 0] + E[:, 1, 1] + E[:, 2, 2]
-    S2 = (material.lam * trE[:, None, None] * _EYE3 + 2.0 * material.mu * E) / material.epsilon
-    P1 = np.matmul(F, S2)
-
-    if viscosity.eta > 0.0:
-        Fdot = _node_gradients_fast(body.Gm, Adot)
-        Cdot = _cauchy_green_rate_nodes(F, Fdot)
-        P1 = P1 + viscosity.eta * np.matmul(F, Cdot)
-
-    rhs = -(body.P.T @ dU_dZ) - _stress_divergence(body.weights, body.Gm, P1)
-    return body.solve_mass(rhs)
+def _accel(body, q, qdot, material, viscosity):
+    """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3)."""
+    Fdot = body.node_gradients(qdot) if viscosity.eta > 0.0 else None
+    force = generalized_force(
+        body, body.node_positions(q), body.node_gradients(q), Fdot, material, viscosity.eta
+    )
+    return body.solve_mass(force)
 
 
 def equations_of_motion(
@@ -176,9 +136,7 @@ def equations_of_motion(
 ):
     """(qdot, qddot) of the reduced system M qddot = f_conservative - g_viscous."""
     require_regular(body, state, impact_radius)
-    A = state.q.reshape(-1, 3)
-    Adot = state.qdot.reshape(-1, 3)
-    return state.qdot.copy(), _accel(body, A, Adot, material, viscosity).reshape(-1)
+    return state.qdot.copy(), _accel(body, state.q, state.qdot, material, viscosity).reshape(-1)
 
 
 def instantaneous_spin(body: ReferenceBody, state: DeformationState):
@@ -227,20 +185,6 @@ def comoving_decomposition(body: ReferenceBody, state: DeformationState):
     misfit = Z - (body.nodes @ R.T + t)
     residual = float(np.sqrt(np.einsum("q,qi,qi->", m, misfit, misfit) / total))
     return R, Y, residual
-
-
-def rigidity_diagnostic(body: ReferenceBody, state: DeformationState):
-    """(max node |Cdot|, max pairwise distance drift rate); both zero iff rigid."""
-    cdot = max_cauchy_green_rate(body, state)
-    Z = body.node_positions(state.q)
-    Zd = body.node_positions(state.qdot)
-    dz = Z[:, None, :] - Z[None, :, :]
-    dzd = Zd[:, None, :] - Zd[None, :, :]
-    dist2 = np.einsum("qpi,qpi->qp", dz, dz)
-    np.fill_diagonal(dist2, 1.0)
-    drift = np.abs(np.einsum("qpi,qpi->qp", dz, dzd)) / np.sqrt(dist2)
-    np.fill_diagonal(drift, 0.0)
-    return cdot, float(np.max(drift))
 
 
 def _monitor_sample(body, state, material, viscosity):
@@ -295,13 +239,11 @@ def integrate(
     y0 = np.concatenate([state0.q, state0.qdot])
 
     def rhs(t, y):
-        A = y[:nq].reshape(-1, 3)
-        Adot = y[nq:].reshape(-1, 3)
-        acc = _accel(body, A, Adot, material, viscosity)
+        acc = _accel(body, y[:nq], y[nq:], material, viscosity)
         return np.concatenate([y[nq:], acc.reshape(-1)])
 
     def impact_event(t, y):
-        Z = body.P @ y[:nq].reshape(-1, 3)
+        Z = body.node_positions(y[:nq])
         return float(np.min(np.linalg.norm(Z, axis=1))) - settings.impact_radius
 
     def escape_event(t, y):
@@ -309,8 +251,7 @@ def integrate(
         return settings.escape_radius - float(np.linalg.norm(c))
 
     def singular_event(t, y):
-        F = np.einsum("ai,qaj->qij", y[:nq].reshape(-1, 3), body.Gm)
-        return float(np.min(np.linalg.det(F)))
+        return float(np.min(np.linalg.det(body.node_gradients(y[:nq]))))
 
     for ev in (impact_event, escape_event, singular_event):
         ev.terminal = True

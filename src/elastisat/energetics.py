@@ -16,12 +16,13 @@ stiffer body.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .body_model import DeformationState, ReferenceBody, require_regular
-from .errors import ImpactProximityError, InvalidParameterError, SingularConfigurationError
+from .dissipation import viscous_first_piola
+from .errors import InvalidParameterError, SingularConfigurationError
 
 _I3 = np.eye(3)
 
@@ -94,12 +95,12 @@ def stored_energy_density(x, F, params: MaterialParams) -> float:
     return (0.5 * params.lam * tr * tr + params.mu * np.sum(E * E)) / params.epsilon
 
 
-def elastic_first_piola(F, params: MaterialParams) -> np.ndarray:
-    """dW/dF = F S with the second Piola-Kirchhoff stress S = (lam tr E I + 2 mu E)/eps."""
-    F = np.asarray(F, dtype=float)
-    E = 0.5 * (cauchy_green(F) - _I3)
-    S = (params.lam * np.trace(E) * _I3 + 2.0 * params.mu * E) / params.epsilon
-    return F @ S
+def first_piola(F, params: MaterialParams) -> np.ndarray:
+    """dW/dF = F S for F of shape (..., 3, 3), S = (lam tr E I + 2 mu E)/eps."""
+    E = 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
+    trE = E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2]
+    S = (params.lam * trE[..., None, None] * _I3 + 2.0 * params.mu * E) / params.epsilon
+    return np.matmul(F, S)
 
 
 def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
@@ -107,31 +108,17 @@ def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
     F = np.asarray(F, dtype=float)
     if np.linalg.det(F) <= 0.0:
         raise SingularConfigurationError("Kirchhoff stress requires det F > 0")
-    tau = F @ elastic_first_piola(F, params).T
+    tau = F @ first_piola(F, params).T
     norm = np.linalg.norm(tau)
     if norm > 0 and np.linalg.norm(tau - tau.T) > 1e-12 * norm:
         raise AssertionError("Kirchhoff stress lost symmetry")
     return tau
 
 
-# --- node-level helpers reused by the force assembly ---
-
-def _green_strain_nodes(F):
-    C = np.einsum("qki,qkj->qij", F, F)
-    return 0.5 * (C - _I3)
-
-
 def _stored_energy_nodes(F, params: MaterialParams):
-    E = _green_strain_nodes(F)
+    E = 0.5 * (np.einsum("qki,qkj->qij", F, F) - _I3)
     tr = np.trace(E, axis1=1, axis2=2)
     return (0.5 * params.lam * tr**2 + params.mu * np.einsum("qij,qij->q", E, E)) / params.epsilon
-
-
-def _first_piola_nodes(F, params: MaterialParams):
-    E = _green_strain_nodes(F)
-    tr = np.trace(E, axis1=1, axis2=2)
-    S = (params.lam * tr[:, None, None] * _I3 + 2.0 * params.mu * E) / params.epsilon
-    return np.einsum("qik,qkj->qij", F, S)
 
 
 def _softened_inverse_distances(Z, softening):
@@ -190,16 +177,30 @@ def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray
     return np.einsum("ab,abi->i", body.S, cross)
 
 
-def potential_energy(
-    body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    impact_radius: float = 0.0,
-) -> float:
-    """U_g + U_sg + U_e."""
-    return (
-        gravitational_energy(body, state, params, impact_radius)
-        + self_gravity_energy(body, state, params)
-        + elastic_energy(body, state, params)
-    )
+def generalized_force(
+    body: ReferenceBody, Z, F, Fdot, params: MaterialParams, eta: float = 0.0,
+) -> np.ndarray:
+    """The force kernel: f - g per monomial, shape (n_monomials, 3).
+
+    Z and F are the node positions and deformation gradients, Fdot the node
+    velocity gradients (read only when eta > 0). f = -grad_q (U_g + U_sg +
+    U_e) is the exact gradient of the discretized potentials and g the
+    Kelvin-Voigt force of viscosity eta. The integrator, conservative_force
+    and through it the Newton solver and the spectrum all evaluate this.
+    """
+    m = body.density * body.weights
+    # gravity: dU_g/dZ_q = kM m_q Z_q / |Z_q|^3
+    r2 = np.sum(Z * Z, axis=1)
+    dU_dZ = params.kM * (m / (r2 * np.sqrt(r2)))[:, None] * Z
+    if params.self_gravity_k > 0.0:
+        inv, diff = _softened_inverse_distances(Z, params.softening)
+        coeff = m[:, None] * m[None, :] * inv**3
+        dU_dZ += 2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff)
+
+    P = first_piola(F, params)
+    if eta > 0.0:
+        P = P + viscous_first_piola(F, Fdot, eta)
+    return -(body.P.T @ dU_dZ) - body.stress_divergence(P)
 
 
 def conservative_force(
@@ -208,20 +209,7 @@ def conservative_force(
 ) -> np.ndarray:
     """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
     Z, F = require_regular(body, state, impact_radius)
-    m = body.density * body.weights
-
-    # gravity: dU_g/dZ_q = kM m_q Z_q / |Z_q|^3
-    r3 = np.linalg.norm(Z, axis=1) ** 3
-    dU_dZ = params.kM * (m / r3)[:, None] * Z
-
-    if params.self_gravity_k > 0.0:
-        inv, diff = _softened_inverse_distances(Z, params.softening)
-        coeff = m[:, None] * m[None, :] * inv**3
-        dU_dZ += 2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff)
-
-    grad = body.P.T @ dU_dZ
-    grad += np.einsum("q,qij,qaj->ai", body.weights, _first_piola_nodes(F, params), body.Gm)
-    return -grad.reshape(-1)
+    return generalized_force(body, Z, F, None, params).reshape(-1)
 
 
 def gravity_third_derivatives(Y, kM: float):
@@ -258,9 +246,3 @@ def energy_breakdown(
         L=angular_momentum(body, state),
         dissipation_rate=dissipation_rate,
     )
-
-
-def rotate_coefficients(q: np.ndarray, R) -> np.ndarray:
-    """Coefficients of R zeta given those of zeta (block rotation action)."""
-    R = np.asarray(R, dtype=float)
-    return (q.reshape(-1, 3) @ R.T).reshape(-1)

@@ -33,7 +33,13 @@ from .energetics import (
     conservative_force,
     energy_breakdown,
 )
-from .errors import DegenerateCatalogError, InvalidParameterError, NoConvergenceError
+from .errors import (
+    DegenerateCatalogError,
+    ImpactProximityError,
+    InvalidParameterError,
+    NoConvergenceError,
+    SingularConfigurationError,
+)
 
 
 def equilibrium_velocity(body: ReferenceBody, q: np.ndarray, omega) -> np.ndarray:
@@ -139,7 +145,8 @@ def solve_relative_equilibrium(
     L0 is the prescribed angular momentum.  A rigid Keplerian guess is
     built from |L0| when no seed is supplied.  Raises NoConvergenceError
     (with the residual trace attached) if the infinity norm of the
-    residual does not reach tol.
+    residual does not reach tol, or if the finite-difference stencil
+    leaves the admissible set (det Dzeta <= 0 or a node at the planet).
     """
     L0 = np.asarray(L0, dtype=float)
     if L0.shape != (3,) or not np.any(L0):
@@ -178,13 +185,23 @@ def solve_relative_equilibrium(
             um = u.copy()
             up[j] += h
             um[j] -= h
-            J[:, j] = (residual(up) - residual(um)) / (2.0 * h)
+            try:
+                J[:, j] = (residual(up) - residual(um)) / (2.0 * h)
+            except (SingularConfigurationError, ImpactProximityError) as exc:
+                raise NoConvergenceError(
+                    f"Jacobian stencil left the admissible set: {exc}", residual_trace=trace
+                ) from exc
         step = np.linalg.lstsq(J, -res, rcond=None)[0]
         alpha = 1.0
         accepted = False
         while alpha >= 1e-6:
             u_try = u + alpha * step
-            res_try = residual(u_try)
+            try:
+                res_try = residual(u_try)
+            except (SingularConfigurationError, ImpactProximityError):
+                # a trial point outside the admissible set is rejected like a poor one
+                alpha *= 0.5
+                continue
             norm_try = float(np.linalg.norm(res_try))
             if norm_try <= (1.0 - 1e-4 * alpha) * norm or norm_try <= tol:
                 u, res, norm = u_try, res_try, norm_try

@@ -7,7 +7,11 @@ import pytest
 
 import elastisat as es
 from elastisat.dynamics import EnergyBreakdown, Trajectory
-from elastisat.errors import InsufficientDataError
+from elastisat.errors import (
+    ImpactProximityError,
+    InsufficientDataError,
+    SingularConfigurationError,
+)
 
 
 def _solve_at_radius(body, material, r):
@@ -162,6 +166,20 @@ def test_classified_equilibrium_trajectory_is_captured(triaxial, material):
     assert out.metrics is not None
     assert out.equilibrium is not None
     assert np.linalg.norm(np.asarray(out.equilibrium.L) - np.asarray(eq.L)) < 1e-8
+
+
+@pytest.mark.parametrize("error", [SingularConfigurationError, ImpactProximityError])
+def test_classify_maps_inadmissible_newton_to_undetermined(triaxial, material, monkeypatch, error):
+    eq = _solve_at_radius(triaxial, material, 2.5)
+    traj = _integrate_equilibrium(triaxial, material, eq, periods=6)
+
+    def fail(*args, **kwargs):
+        raise error("Newton left the admissible set")
+
+    monkeypatch.setattr("elastisat.classifier.solve_relative_equilibrium", fail)
+    out = es.classify_outcome(triaxial, traj, material)
+    assert out.outcome == es.Outcome.UNDETERMINED
+    assert "admissible set" in out.reason
 
 
 def test_outcome_tags_are_the_variant_names():

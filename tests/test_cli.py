@@ -199,7 +199,11 @@ def test_sweep_survives_a_bad_point(tmp_path):
         rows = list(csv.DictReader(fh))
     assert rows[0]["outcome"] == "Undetermined"
     assert rows[1]["outcome"] == "error"
-    assert (out / "point-001" / "error.json").exists()
+    assert [rows[1][k] for k in ("termination", "H_final", "L_z_final", "t_final")] == [""] * 4
+    error = json.loads((out / "point-001" / "error.json").read_text())
+    assert error["index"] == 1
+    assert error["error_type"] == "ConfigError"
+    assert "epsilon" in error["error"]
 
 
 def test_module_entrypoint_smoke(tmp_path):

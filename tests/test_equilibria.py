@@ -113,6 +113,24 @@ def test_solver_failure_carries_residual_trace(triaxial, material):
     assert len(info.value.residual_trace) >= 1
 
 
+@pytest.mark.parametrize("draw, converges", [(5, True), (11, False)])
+def test_newton_survives_inadmissible_points(triaxial, material, draw, converges):
+    # Seeds that pass require_regular but whose Newton steps or Jacobian
+    # stencil reach det(Dzeta) <= 0: a trial point there is a rejected step,
+    # and a stencil there ends the solve with NoConvergenceError.
+    rng = np.random.default_rng(0)
+    for _ in range(draw):
+        guess, omega0 = es.synchronous_guess(triaxial, material, 2.5)
+        guess.q = guess.q + 0.25 * rng.standard_normal(guess.q.size)
+    L0 = es.angular_momentum(triaxial, guess)
+    if converges:
+        eq = es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+        assert eq.residual_norm <= 1e-12
+    else:
+        with pytest.raises(NoConvergenceError, match="admissible"):
+            es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+
+
 def test_catalog_enumerates_24_families(triaxial, material):
     cat = es.rigid_quadrupole_catalog(triaxial, material, 3.0)
     assert len(cat) == 24
