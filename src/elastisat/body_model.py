@@ -2,9 +2,18 @@
 
 The undeformed satellite is a triaxial ellipsoid with uniform density.
 Deformations are expanded in vector-valued monomials of total degree
-<= ``basis_degree``; every integral over the body is evaluated with a
-tensorized Gauss-Legendre rule mapped onto the ellipsoid, so the same
-rule that defines the moments also defines every energy functional.
+<= ``basis_degree``. Integrals over the body use tensorized Gauss-Legendre
+rules mapped onto the ellipsoid, two of them:
+
+- the full rule (order 8 by default) carries everything that involves
+  node positions: the moments, the mass matrix, gravity and self-gravity
+  (1/|zeta| is not polynomial), and the pointwise regularity checks;
+- the stress rule, exact for total degree 4 (d - 1) with d the basis
+  degree, carries the stress integrands. Dzeta has degree d - 1 in x, so
+  the Saint Venant-Kirchhoff energy density, the Kelvin-Voigt dissipation
+  density and their stresses tested against grad m_a are polynomials of
+  degree <= 4 (d - 1), and the stress rule integrates them exactly: 2
+  nodes at d = 1, 60 at d = 2.
 """
 
 from __future__ import annotations
@@ -45,17 +54,17 @@ def _eval_monomials(exponents, x):
 
 
 def _eval_monomial_gradients(exponents, x):
-    """Gradients of each monomial at points x, shape (npts, nmono, 3)."""
+    """Gradients of each monomial at points x, shape (npts, 3, nmono): [n, j, a] = d_j m_a."""
     x = np.atleast_2d(x)
     n = x.shape[0]
-    grads = np.zeros((n, len(exponents), 3))
+    grads = np.zeros((n, 3, len(exponents)))
     for a, (px, py, pz) in enumerate(exponents):
         if px > 0:
-            grads[:, a, 0] = px * x[:, 0] ** (px - 1) * x[:, 1] ** py * x[:, 2] ** pz
+            grads[:, 0, a] = px * x[:, 0] ** (px - 1) * x[:, 1] ** py * x[:, 2] ** pz
         if py > 0:
-            grads[:, a, 1] = py * x[:, 0] ** px * x[:, 1] ** (py - 1) * x[:, 2] ** pz
+            grads[:, 1, a] = py * x[:, 0] ** px * x[:, 1] ** (py - 1) * x[:, 2] ** pz
         if pz > 0:
-            grads[:, a, 2] = pz * x[:, 0] ** px * x[:, 1] ** py * x[:, 2] ** (pz - 1)
+            grads[:, 2, a] = pz * x[:, 0] ** px * x[:, 1] ** py * x[:, 2] ** (pz - 1)
     return grads
 
 
@@ -115,13 +124,15 @@ class DeformationBasis:
 
 @dataclass(frozen=True)
 class ReferenceBody:
-    """Immutable reference configuration with its quadrature and moments.
+    """Immutable reference configuration with its two quadrature rules and moments.
 
     All integral operators downstream reduce to contractions against the
-    precomputed node tables: monomial values ``P`` (nodes x monomials),
-    monomial gradients ``Gm`` (nodes x monomials x 3), and the scalar Gram
-    matrix ``S`` of the monomials in the rho0-weighted inner product. The
-    full mass matrix is kron(S, I3).
+    precomputed node tables of the full rule: monomial values ``P`` (nodes
+    x monomials), monomial gradients ``Gm`` (nodes x 3 x monomials), and
+    the scalar Gram matrix ``S`` of the monomials in the rho0-weighted
+    inner product. The full mass matrix is kron(S, I3). The stress rule
+    keeps only its weights ``stress_weights`` and monomial gradients
+    ``stress_Gm``; stress_gradients and stress_divergence work on it.
     """
 
     semi_axes: tuple[float, float, float]
@@ -134,9 +145,11 @@ class ReferenceBody:
     first_moment: np.ndarray     # (3,)
     second_moment: np.ndarray    # (3, 3)
     P: np.ndarray = field(repr=False)      # (nq, nm) monomial values
-    Gm: np.ndarray = field(repr=False)     # (nq, nm, 3) monomial gradients
+    Gm: np.ndarray = field(repr=False)     # (nq, 3, nm) monomial gradients
     S: np.ndarray = field(repr=False)      # (nm, nm) scalar Gram matrix
     mu_vec: np.ndarray = field(repr=False) # (nm,) integral of rho0 * m_a
+    stress_weights: np.ndarray = field(repr=False)  # (ns,) stress-rule weights
+    stress_Gm: np.ndarray = field(repr=False)       # (ns, 3, nm) stress-rule gradients
     _S_cho: tuple = field(repr=False, compare=False)
 
     @property
@@ -162,19 +175,20 @@ class ReferenceBody:
         return self.P @ q.reshape(-1, 3)
 
     def node_gradients(self, q: np.ndarray) -> np.ndarray:
-        """Deformation gradients Dzeta(x_q) at all nodes, shape (nq, 3, 3).
+        """Deformation gradients Dzeta(x_q) at the full-rule nodes, shape (nq, 3, 3)."""
+        return _gradients(self.Gm, q)
 
-        F_q = A^T Dm(x_q) with A = q.reshape(-1, 3), as one BLAS contraction.
-        """
-        return np.tensordot(self.Gm, q.reshape(-1, 3), axes=([1], [0])).transpose(0, 2, 1)
+    def stress_gradients(self, q: np.ndarray) -> np.ndarray:
+        """Deformation gradients Dzeta(x_s) at the stress-rule nodes, shape (ns, 3, 3)."""
+        return _gradients(self.stress_Gm, q)
 
     def stress_divergence(self, P: np.ndarray) -> np.ndarray:
-        """Galerkin force of a nodal first-Piola field P (nq, 3, 3), shape (nm, 3).
+        """Galerkin force of a first-Piola field P (ns, 3, 3) at the stress nodes, shape (nm, 3).
 
-        Row a is sum_q w_q P_q grad m_a(x_q): the quadrature of P : Dphi, the
-        adjoint of node_gradients under the quadrature weights.
+        Row a is sum_s w_s P_s grad m_a(x_s): the stress-rule quadrature of
+        P : Dphi, the adjoint of stress_gradients under the stress weights.
         """
-        return np.tensordot(self.weights[:, None, None] * P, self.Gm, axes=([0, 2], [0, 2])).T
+        return np.einsum("s,sij,sja->ai", self.stress_weights, P, self.stress_Gm)
 
     def barycenter(self, q: np.ndarray) -> np.ndarray:
         """Mass center of the deformed body (exact for polynomial maps)."""
@@ -183,6 +197,25 @@ class ReferenceBody:
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the prefactored mass matrix."""
         return cho_solve(self._S_cho, rhs.reshape(-1, 3)).reshape(rhs.shape)
+
+
+def det3(F: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 3x3 matrices F (n, 3, 3), by cofactor expansion."""
+    return (
+        F[:, 0, 0] * (F[:, 1, 1] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 1])
+        - F[:, 0, 1] * (F[:, 1, 0] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 0])
+        + F[:, 0, 2] * (F[:, 1, 0] * F[:, 2, 1] - F[:, 1, 1] * F[:, 2, 0])
+    )
+
+
+def _gradients(Gm: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Deformation gradients at every node of a gradient table Gm (n, 3, nm), shape (n, 3, 3).
+
+    F_n[i, j] = sum_a A[a, i] d_j m_a(x_n) with A = q.reshape(-1, 3): one
+    BLAS product, in which row (n, j) of Gm times A is column j of F_n.
+    """
+    A = q.reshape(-1, 3)
+    return (Gm.reshape(-1, A.shape[0]) @ A).reshape(-1, 3, 3).transpose(0, 2, 1)
 
 
 @dataclass
@@ -212,10 +245,11 @@ def build_ellipsoid_body(
     basis_degree: int = 1,
     quadrature_order: int = 8,
 ) -> ReferenceBody:
-    """Construct the reference ellipsoid, its basis, quadrature, and moments.
+    """Construct the reference ellipsoid, its basis, both quadrature rules, and moments.
 
-    Moments are computed by the quadrature itself, so the moment invariants
-    double as quadrature-exactness checks.
+    Moments are computed by the full rule itself, so the moment invariants
+    double as quadrature-exactness checks. The stress rule depends on the
+    basis degree alone: it is exact for total degree 4 (basis_degree - 1).
     """
     semi_axes = tuple(float(s) for s in semi_axes)
     if len(semi_axes) != 3 or any(s <= 0 for s in semi_axes):
@@ -239,6 +273,7 @@ def build_ellipsoid_body(
     S = np.einsum("q,qa,qb->ab", rho_w, P, P)
     S = 0.5 * (S + S.T)
     mu_vec = rho_w @ P
+    stress_nodes, stress_weights = ellipsoid_quadrature(semi_axes, 4 * (basis_degree - 1))
 
     mass = float(np.sum(rho_w))
     first_moment = rho_w @ nodes
@@ -263,6 +298,8 @@ def build_ellipsoid_body(
         Gm=Gm,
         S=S,
         mu_vec=mu_vec,
+        stress_weights=stress_weights,
+        stress_Gm=_eval_monomial_gradients(exponents, stress_nodes),
         _S_cho=S_cho,
     )
 
@@ -272,7 +309,7 @@ def evaluate_map(body: ReferenceBody, state: DeformationState, x):
     x = np.asarray(x, dtype=float).reshape(1, 3)
     A = state.q.reshape(-1, 3)
     zeta = (_eval_monomials(body.basis.exponents, x) @ A)[0]
-    grad = np.einsum("ai,aj->ij", A, _eval_monomial_gradients(body.basis.exponents, x)[0])
+    grad = np.einsum("ai,ja->ij", A, _eval_monomial_gradients(body.basis.exponents, x)[0])
     return zeta, grad
 
 
@@ -342,12 +379,12 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
     """
     Z = body.node_positions(state.q)
     F = body.node_gradients(state.q)
-    dets = np.linalg.det(F)
+    dets = det3(F)
     if np.any(dets <= 0.0):
         raise SingularConfigurationError(
             f"det(Dzeta) <= 0 at {int(np.sum(dets <= 0.0))} quadrature node(s)"
         )
-    dmin = float(np.min(np.linalg.norm(Z, axis=1)))
+    dmin = float(np.sqrt(np.min(np.einsum("qi,qi->q", Z, Z))))
     if dmin <= impact_radius:
         raise ImpactProximityError(
             f"material point at distance {dmin:.3e} <= impact radius {impact_radius:.3e}"

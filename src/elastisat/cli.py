@@ -23,12 +23,10 @@ import numpy as np
 
 from .classifier import classify_outcome
 from .dynamics import MONITOR_COLUMNS, integrate
-from .energetics import angular_momentum
 from .equilibria import (
     nondegeneracy_spectrum,
     rigid_quadrupole_catalog,
     solve_relative_equilibrium,
-    synchronous_guess,
 )
 from .errors import ConfigError, ElastisatError
 from .scenario import Scenario, load_scenario, load_sweep, scenario_from_mapping, sweep_point
@@ -158,6 +156,7 @@ def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
         "equilibrium": _equilibrium_doc(verdict.equilibrium),
         "samples": len(trajectory),
         "t_final": float(trajectory.times[-1]),
+        "counters": {"nfev": trajectory.nfev, "njev": trajectory.njev},
         "final": {
             "K": mons[-1].K, "U_g": mons[-1].U_g, "U_sg": mons[-1].U_sg,
             "U_e": mons[-1].U_e, "H": mons[-1].H, "L": mons[-1].L,
@@ -197,20 +196,7 @@ def _cmd_equilibria(args) -> int:
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    if scenario.initial["kind"] == "equilibrium":
-        L0 = scenario.initial["L0"]
-        state0 = None
-        omega0 = None
-    elif scenario.initial["kind"] == "orbital":
-        state0, omega0 = synchronous_guess(
-            scenario.body, scenario.material, scenario.initial["orbit_radius"]
-        )
-        L0 = angular_momentum(scenario.body, state0)
-    else:
-        state0 = scenario.initial_state()
-        omega0 = None
-        L0 = angular_momentum(scenario.body, state0)
-
+    L0, state0, omega0 = scenario.equilibrium_seed()
     eq = solve_relative_equilibrium(
         scenario.body, scenario.material, L0, state0=state0, omega0=omega0
     )

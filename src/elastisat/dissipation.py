@@ -8,7 +8,10 @@ power drained from the system is
     dH/dt = -qdot . g = -(eta/2) * integral of |Cdot|^2  <=  0,
 
 vanishing exactly when the instantaneous motion is rigid (Cdot = 0), and
-the force exerts no net torque, so angular momentum is untouched.
+the force exerts no net torque, so angular momentum is untouched. The
+force and the rate are both integrated on the body's stress rule, which
+is exact for these polynomial densities; the rigidity gauge
+max_cauchy_green_rate is a pointwise check and scans the full-rule nodes.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ def _cauchy_green_rate_nodes(F, Fdot):
 
 
 def viscous_first_piola(F, Fdot, eta: float) -> np.ndarray:
-    """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (nq, 3, 3)."""
+    """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (n, 3, 3)."""
     return eta * np.matmul(F, _cauchy_green_rate_nodes(F, Fdot))
 
 
@@ -55,29 +58,30 @@ def viscous_force(
     """Generalized viscous force g, to be subtracted from the conservative force.
 
     The viscous half of energetics.generalized_force: the same nodal stress
-    and the same quadrature.
+    on the same stress rule as dissipation_rate, so qdot . g = -Hdot exactly.
     """
     if params.eta == 0.0:
         return np.zeros_like(state.q)
-    F = body.node_gradients(state.q)
-    Fdot = body.node_gradients(state.qdot)
+    F = body.stress_gradients(state.q)
+    Fdot = body.stress_gradients(state.qdot)
     return body.stress_divergence(viscous_first_piola(F, Fdot, params.eta)).reshape(-1)
 
 
 def dissipation_rate(
     body: ReferenceBody, state: DeformationState, params: ViscosityParams
 ) -> float:
-    """Hdot = -(eta/2) * quadrature of |Cdot|^2; always <= 0."""
+    """Hdot = -(eta/2) * stress-rule quadrature of |Cdot|^2 (exact); always <= 0."""
     if params.eta == 0.0:
         return 0.0
-    F = body.node_gradients(state.q)
-    Fdot = body.node_gradients(state.qdot)
+    F = body.stress_gradients(state.q)
+    Fdot = body.stress_gradients(state.qdot)
     Cdot = _cauchy_green_rate_nodes(F, Fdot)
-    return float(-0.5 * params.eta * np.dot(body.weights, np.einsum("qij,qij->q", Cdot, Cdot)))
+    density = np.einsum("qij,qij->q", Cdot, Cdot)
+    return float(-0.5 * params.eta * np.dot(body.stress_weights, density))
 
 
 def max_cauchy_green_rate(body: ReferenceBody, state: DeformationState) -> float:
-    """Largest Frobenius norm of Cdot over the quadrature nodes (rigidity gauge)."""
+    """Largest Frobenius norm of Cdot over the full-rule nodes (rigidity gauge)."""
     F = body.node_gradients(state.q)
     Fdot = body.node_gradients(state.qdot)
     Cdot = _cauchy_green_rate_nodes(F, Fdot)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .body_model import DeformationState, ReferenceBody, require_regular
+from .body_model import DeformationState, ReferenceBody, det3, require_regular
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
 from .energetics import MaterialParams, energy_breakdown, EnergyBreakdown, generalized_force
 from .errors import InvalidParameterError
@@ -68,7 +68,11 @@ class IntegratorSettings:
 
 @dataclass
 class Trajectory:
-    """Recorded integration output: states, monitors, diagnostics, termination."""
+    """Recorded integration output: states, monitors, diagnostics, termination.
+
+    nfev and njev count the right-hand-side and Jacobian evaluations of the
+    whole run (solve_ivp's counts, or the rk4 loop's own).
+    """
 
     times: np.ndarray
     q_history: np.ndarray        # (n, 3N)
@@ -79,6 +83,8 @@ class Trajectory:
     omega_norm: np.ndarray
     termination: str             # completed | impact-detected | escape-detected | step-failure
     termination_reason: str = ""
+    nfev: int = 0
+    njev: int = 0
 
     def __len__(self) -> int:
         return len(self.times)
@@ -104,6 +110,8 @@ class Trajectory:
             omega_norm=self.omega_norm[idx],
             termination=self.termination,
             termination_reason=self.termination_reason,
+            nfev=self.nfev,
+            njev=self.njev,
         )
 
     def monitor_rows(self) -> np.ndarray:
@@ -120,9 +128,9 @@ class Trajectory:
 
 def _accel(body, q, qdot, material, viscosity):
     """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3)."""
-    Fdot = body.node_gradients(qdot) if viscosity.eta > 0.0 else None
+    Fdot = body.stress_gradients(qdot) if viscosity.eta > 0.0 else None
     force = generalized_force(
-        body, body.node_positions(q), body.node_gradients(q), Fdot, material, viscosity.eta
+        body, body.node_positions(q), body.stress_gradients(q), Fdot, material, viscosity.eta
     )
     return body.solve_mass(force)
 
@@ -198,7 +206,8 @@ def _monitor_sample(body, state, material, viscosity):
     return mon, cdot, float(np.linalg.norm(Y)), float(np.linalg.norm(omega_spin))
 
 
-def _build_trajectory(body, times, states, material, viscosity, termination, reason):
+def _build_trajectory(body, times, states, material, viscosity, termination, reason,
+                      nfev, njev):
     n = len(times)
     nq = states.shape[1] // 2
     monitors, cdots, ys, oms = [], np.empty(n), np.empty(n), np.empty(n)
@@ -217,6 +226,8 @@ def _build_trajectory(body, times, states, material, viscosity, termination, rea
         omega_norm=oms,
         termination=termination,
         termination_reason=reason,
+        nfev=nfev,
+        njev=njev,
     )
 
 
@@ -251,7 +262,7 @@ def integrate(
         return settings.escape_radius - float(np.linalg.norm(c))
 
     def singular_event(t, y):
-        return float(np.min(np.linalg.det(body.node_gradients(y[:nq]))))
+        return float(np.min(det3(body.node_gradients(y[:nq]))))
 
     for ev in (impact_event, escape_event, singular_event):
         ev.terminal = True
@@ -292,13 +303,16 @@ def integrate(
             termination, reason = "step-failure", sol.message
         if not times:  # event fired before the first sample beyond t=0
             times, states = [0.0], [y0]
+        nfev, njev = int(sol.nfev), int(sol.njev)
     else:  # fixed-step rk4
-        times, states, termination, reason = _integrate_rk4(
+        times, states, termination, reason, nfev = _integrate_rk4(
             rhs, y0, settings, impact_event, escape_event, singular_event
         )
+        njev = 0
 
     return _build_trajectory(
-        body, np.array(times), np.array(states), material, viscosity, termination, reason
+        body, np.array(times), np.array(states), material, viscosity, termination, reason,
+        nfev, njev,
     )
 
 
@@ -312,6 +326,7 @@ def _integrate_rk4(rhs, y0, settings, *events):
     t, y = 0.0, y0.copy()
     n_steps = int(np.ceil(settings.t_end / h))
     termination, reason = "completed", ""
+    nfev = 0
     for step in range(1, n_steps + 1):
         hh = min(h, settings.t_end - t)
         k1 = rhs(t, y)
@@ -320,6 +335,7 @@ def _integrate_rk4(rhs, y0, settings, *events):
         k4 = rhs(t + hh, y + hh * k3)
         y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t = t + hh
+        nfev += 4
         hit = next((i for i, ev in enumerate(events) if ev(t, y) <= 0.0), None)
         if hit is not None:
             times.append(t)
@@ -329,4 +345,4 @@ def _integrate_rk4(rhs, y0, settings, *events):
         if step % record_stride == 0 or t >= settings.t_end:
             times.append(t)
             states.append(y.copy())
-    return times, states, termination, reason
+    return times, states, termination, reason, nfev

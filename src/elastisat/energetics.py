@@ -1,9 +1,11 @@
 """Conservative energies, their generalized forces, and related tensors.
 
-Every potential is evaluated by the body's quadrature rule, and every
-generalized force is the exact gradient of the discretized potential with
-respect to the Galerkin coefficients, so the discrete system is exactly
-Hamiltonian when dissipation is off.
+Gravity and self-gravity are evaluated on the body's full quadrature
+rule, the stored energy on its stress rule (exact for the polynomial
+energy density, see body_model). Every generalized force is the exact
+gradient of the discretized potential with respect to the Galerkin
+coefficients, taken on the same rule as the potential, so the discrete
+system is exactly Hamiltonian when dissipation is off.
 
 Stored energy is Saint Venant-Kirchhoff,
 
@@ -158,9 +160,9 @@ def self_gravity_energy(
 
 
 def elastic_energy(body: ReferenceBody, state: DeformationState, params: MaterialParams) -> float:
-    """U_e = quadrature of the stored energy density."""
-    F = body.node_gradients(state.q)
-    return float(np.dot(body.weights, _stored_energy_nodes(F, params)))
+    """U_e = stress-rule quadrature of the stored energy density (exact)."""
+    F = body.stress_gradients(state.q)
+    return float(np.dot(body.stress_weights, _stored_energy_nodes(F, params)))
 
 
 def kinetic_energy(body: ReferenceBody, state: DeformationState) -> float:
@@ -182,15 +184,16 @@ def generalized_force(
 ) -> np.ndarray:
     """The force kernel: f - g per monomial, shape (n_monomials, 3).
 
-    Z and F are the node positions and deformation gradients, Fdot the node
-    velocity gradients (read only when eta > 0). f = -grad_q (U_g + U_sg +
-    U_e) is the exact gradient of the discretized potentials and g the
-    Kelvin-Voigt force of viscosity eta. The integrator, conservative_force
-    and through it the Newton solver and the spectrum all evaluate this.
+    Z holds the full-rule node positions; F and Fdot are the deformation
+    and velocity gradients at the stress-rule nodes (Fdot is read only when
+    eta > 0). f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the
+    discretized potentials and g the Kelvin-Voigt force of viscosity eta.
+    The integrator, conservative_force and through it the Newton solver
+    and the spectrum all evaluate this.
     """
     m = body.density * body.weights
     # gravity: dU_g/dZ_q = kM m_q Z_q / |Z_q|^3
-    r2 = np.sum(Z * Z, axis=1)
+    r2 = np.einsum("qi,qi->q", Z, Z)
     dU_dZ = params.kM * (m / (r2 * np.sqrt(r2)))[:, None] * Z
     if params.self_gravity_k > 0.0:
         inv, diff = _softened_inverse_distances(Z, params.softening)
@@ -208,8 +211,8 @@ def conservative_force(
     impact_radius: float = 0.0,
 ) -> np.ndarray:
     """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
-    Z, F = require_regular(body, state, impact_radius)
-    return generalized_force(body, Z, F, None, params).reshape(-1)
+    Z, _ = require_regular(body, state, impact_radius)
+    return generalized_force(body, Z, body.stress_gradients(state.q), None, params).reshape(-1)
 
 
 def gravity_third_derivatives(Y, kM: float):

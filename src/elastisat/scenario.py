@@ -113,17 +113,10 @@ class Scenario:
         if kind == "orbital":
             return self._orbital_state(section)
         # equilibrium
-        from .energetics import angular_momentum
-        from .equilibria import solve_relative_equilibrium, synchronous_guess
+        from .equilibria import solve_relative_equilibrium
 
-        if section["orbit_radius"] is not None:
-            guess, omega0 = synchronous_guess(self.body, self.material, section["orbit_radius"])
-            L0 = angular_momentum(self.body, guess)
-            eq = solve_relative_equilibrium(
-                self.body, self.material, L0, state0=guess, omega0=omega0
-            )
-        else:
-            eq = solve_relative_equilibrium(self.body, self.material, section["L0"])
+        L0, guess, omega0 = self.equilibrium_seed()
+        eq = solve_relative_equilibrium(self.body, self.material, L0, state0=guess, omega0=omega0)
         state = eq.state
         if section["spin_boost"] != 1.0:
             # Scale the velocity field about the barycenter, leaving the
@@ -135,6 +128,26 @@ class Scenario:
             rng = np.random.default_rng(self.seed)
             state.qdot = state.qdot + section["perturbation"] * rng.standard_normal(state.qdot.size)
         return state
+
+    def equilibrium_seed(self):
+        """(L0, state0, omega0) that seed a relative-equilibrium solve for this scenario.
+
+        With an orbit radius (kind orbital, or equilibrium with
+        orbit_radius) Newton starts from the synchronous guess at that
+        radius; kind equilibrium with L0 leaves the start to the solver;
+        kind explicit targets the momentum of the explicit state.
+        """
+        from .energetics import angular_momentum
+        from .equilibria import synchronous_guess
+
+        radius = self.initial.get("orbit_radius")
+        if radius is not None:
+            guess, omega0 = synchronous_guess(self.body, self.material, radius)
+            return angular_momentum(self.body, guess), guess, omega0
+        if self.initial["kind"] == "equilibrium":
+            return self.initial["L0"], None, None
+        state = self.initial_state()
+        return angular_momentum(self.body, state), state, None
 
     def _orbital_state(self, section: dict) -> DeformationState:
         r = section["orbit_radius"]

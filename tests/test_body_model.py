@@ -4,12 +4,15 @@ import numpy as np
 import pytest
 
 import elastisat as es
-from elastisat.body_model import require_regular
+from elastisat.body_model import det3, ellipsoid_quadrature, require_regular
 from elastisat.errors import (
     ImpactProximityError,
     InvalidParameterError,
     SingularConfigurationError,
 )
+
+
+TRIAXIAL_AXES = (1.0, 0.85, 0.6)
 
 
 def _double_factorial(n: int) -> int:
@@ -151,3 +154,33 @@ def test_build_rejects_bad_parameters():
 def test_monomial_count_for_degree_one(triaxial):
     assert len(es.monomial_exponents(1)) == 4
     assert triaxial.n_modes == 12
+
+
+@pytest.mark.parametrize("degree, n_nodes", [(1, 2), (2, 60)])
+def test_stress_rule_is_exact_for_degree_4_d_minus_1(degree, n_nodes):
+    # the stress rule reproduces the order-8 rule on every monomial of
+    # total degree <= 4 (d - 1), the degree of the stress integrands
+    body = es.build_ellipsoid_body(TRIAXIAL_AXES, basis_degree=degree)
+    assert body.stress_weights.shape == (n_nodes,)
+    assert body.stress_Gm.shape == (n_nodes, 3, body.basis.n_monomials)
+    order = 4 * (degree - 1)
+    stress_nodes, stress_weights = ellipsoid_quadrature(body.semi_axes, order)
+    assert np.array_equal(stress_weights, body.stress_weights)
+    for expo in es.monomial_exponents(order):
+        full_values = np.prod(body.nodes ** np.array(expo), axis=1)
+        full = np.dot(body.weights, full_values)
+        stress = np.dot(stress_weights, np.prod(stress_nodes ** np.array(expo), axis=1))
+        # odd monomials integrate to zero; measure them against |m| integrated
+        scale = max(abs(full), np.dot(body.weights, np.abs(full_values)))
+        assert abs(stress - full) <= 1e-14 * scale, expo
+
+
+def test_det3_matches_lapack_determinants():
+    rng = np.random.default_rng(19)
+    F = rng.standard_normal((50, 3, 3))
+    F[0, :, 2] = 0.0  # an exactly singular matrix keeps det 0
+    ref = np.linalg.det(F)
+    got = det3(F)
+    assert got[0] == 0.0
+    scale = np.prod(np.linalg.norm(F, axis=2), axis=1)  # Hadamard bound on |det|
+    assert np.all(np.abs(got - ref) <= 1e-14 * scale)

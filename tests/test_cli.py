@@ -10,6 +10,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ import yaml
 
 from elastisat.cli import main
 from elastisat.dynamics import MONITOR_COLUMNS
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _write(path, doc):
@@ -55,6 +58,8 @@ def test_simulate_writes_monitors_result_and_manifest(tmp_path, capsys):
     assert result["termination"] == "completed"
     assert result["thresholds"]["cdot_max"] == 1e-6
     assert result["audit"]["L_drift_max"] < 1e-8
+    assert result["counters"]["nfev"] > 0
+    assert result["counters"]["njev"] == 0  # DOP853 uses no Jacobian
 
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["tool"] == "elastisat"
@@ -142,6 +147,19 @@ def test_equilibria_solves_and_reports_spectrum(tmp_path, capsys):
     assert 2.5 < doc["orbit_radius"] < 3.0
     assert doc["spectrum"]["nondegenerate"] is True
     assert doc["spectrum"]["n_zero"] == 0
+    assert len(doc["q"]) == 12
+
+
+def test_equilibria_accepts_an_equilibrium_scenario_with_orbit_radius(tmp_path, capsys):
+    # kind equilibrium with orbit_radius (and no L0) seeds Newton from the
+    # synchronous guess, as the simulate command's initial state does
+    out = tmp_path / "out"
+    assert main(["equilibria", "--config", str(SCENARIOS / "capture.yaml"),
+                 "--out", str(out)]) == 0
+    assert "capture: relative equilibrium" in capsys.readouterr().out
+    doc = json.loads((out / "equilibrium.json").read_text())
+    assert doc["residual_norm"] < 1e-10
+    assert 2.0 < doc["orbit_radius"] < 2.5
     assert len(doc["q"]) == 12
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
+from elastisat import dynamics
 from elastisat.errors import InvalidParameterError
 
 EPS3 = es.MaterialParams(epsilon=3.0)
@@ -120,6 +121,20 @@ def test_rk4_and_rk45_agree_with_dop853(triaxial):
     scale = np.linalg.norm(ref.final_state.q)
     assert np.linalg.norm(rk4.final_state.q - ref.final_state.q) < 1e-6 * scale
     assert np.linalg.norm(rk45.final_state.q - ref.final_state.q) < 1e-6 * scale
+
+
+@pytest.mark.parametrize("method", ["dop853", "rk4"])
+def test_trajectory_counts_every_rhs_call(triaxial, monkeypatch, method):
+    calls = []
+    accel = dynamics._accel
+    monkeypatch.setattr(dynamics, "_accel", lambda *args: calls.append(1) or accel(*args))
+    settings = es.IntegratorSettings(method=method, t_end=0.5, record_every=0.25, max_step=0.05)
+    traj = es.integrate(triaxial, _orbit_state(triaxial), EPS3, es.ViscosityParams(0.3), settings)
+    assert traj.nfev == len(calls) > 0
+    assert traj.njev == 0
+    assert traj.tail(0.25).nfev == traj.nfev  # the counts describe the whole run
+    if method == "rk4":
+        assert traj.nfev == 4 * 10
 
 
 def test_comoving_decomposition_recovers_rigid_placement(triaxial):

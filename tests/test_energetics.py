@@ -5,6 +5,9 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
+from elastisat.body_model import require_regular
+from elastisat.dissipation import viscous_first_piola
+from elastisat.energetics import first_piola, generalized_force
 
 
 def _total_potential(body, q, material):
@@ -178,3 +181,34 @@ def test_energy_breakdown_sums_to_total(triaxial, random_state):
     assert mon.U_e == pytest.approx(es.elastic_energy(triaxial, state, mat), rel=1e-14)
     assert np.allclose(mon.L, es.angular_momentum(triaxial, state), atol=1e-14)
     assert mon.dissipation_rate == 0.7
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_kernel_stress_force_matches_full_rule_quadrature(degree, random_state):
+    # the stress rule is exact for the stress integrands, so the kernel's
+    # stress force equals the order-8 quadrature of the same nodal stresses
+    body = es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=degree)
+    mat = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
+    eta = 0.4
+    rng = np.random.default_rng(47 + degree)
+    for _ in range(3):
+        state = random_state(body, rng, radius=3.0)
+        Z, _ = require_regular(body, state)
+        kernel = generalized_force(
+            body, Z, body.stress_gradients(state.q), body.stress_gradients(state.qdot), mat, eta
+        )
+        # gravity by hand: planet plus the double-counted softened pair sum
+        m = body.density * body.weights
+        diff = Z[:, None, :] - Z[None, :, :]
+        s2 = np.sum(diff * diff, axis=-1) + mat.softening**2
+        inv3 = s2**-1.5
+        np.fill_diagonal(inv3, 0.0)
+        dU_dZ = mat.kM * m[:, None] * Z / np.linalg.norm(Z, axis=1)[:, None] ** 3
+        dU_dZ += 2.0 * mat.self_gravity_k * np.einsum("q,p,qp,qpi->qi", m, m, inv3, diff)
+        stress_force = -kernel - body.P.T @ dU_dZ
+
+        F = body.node_gradients(state.q)
+        Fdot = body.node_gradients(state.qdot)
+        P = first_piola(F, mat) + viscous_first_piola(F, Fdot, eta)
+        full = np.einsum("q,qia,qam->mi", body.weights, P, body.Gm)
+        assert np.linalg.norm(stress_force - full) <= 1e-13 * np.linalg.norm(full)

@@ -57,10 +57,12 @@ def _state(body, placement):
 
 def _kernel(body, state):
     try:
-        Z, F = require_regular(body, state)
+        Z, _ = require_regular(body, state)
     except SingularConfigurationError:
         assume(False)
-    return generalized_force(body, Z, F, body.node_gradients(state.qdot), MAT, ETA)
+    return generalized_force(
+        body, Z, body.stress_gradients(state.q), body.stress_gradients(state.qdot), MAT, ETA
+    )
 
 
 @PROPERTY

@@ -1,10 +1,13 @@
 """Scenario schema validation and initial-condition construction."""
 
 import copy
+import json
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import elastisat as es
 from elastisat import ConfigError
@@ -279,3 +282,85 @@ def test_load_scenario_reads_yaml(tmp_path):
     bad.write_text("integrator: [unclosed\n")
     with pytest.raises(ConfigError, match="parse"):
         es.load_scenario(bad)
+
+
+# Generated scenario documents for the config-hash and sweep properties:
+# every section the schema allows, with optional keys present or absent.
+def _optional(**keys):
+    return st.fixed_dictionaries({}, optional=keys)
+
+
+_POSITIVE = st.floats(0.1, 10.0)
+SCENARIO_DOCS = st.fixed_dictionaries(
+    {
+        "name": st.text(alphabet="abcxyz-_0123", min_size=1, max_size=8),
+        "body": st.fixed_dictionaries(
+            {"semi_axes": st.lists(st.floats(0.3, 2.0), min_size=3, max_size=3)},
+            optional={"density": _POSITIVE, "basis_degree": st.sampled_from([1, 2])},
+        ),
+        "initial": st.fixed_dictionaries(
+            {"kind": st.just("orbital"), "orbit_radius": st.floats(2.0, 20.0)},
+            optional={"tangential_factor": st.floats(0.0, 2.0),
+                      "rotation_angle": st.floats(-3.0, 3.0)},
+        ),
+    },
+    optional={
+        "seed": st.integers(0, 2**31),
+        "material": _optional(lam=st.floats(0.0, 3.0), mu=_POSITIVE, epsilon=_POSITIVE),
+        "viscosity": _optional(eta=st.floats(0.0, 2.0)),
+        "integrator": _optional(t_end=_POSITIVE, record_every=_POSITIVE,
+                                method=st.sampled_from(["dop853", "rk45"])),
+        "classifier": _optional(cdot_max=_POSITIVE, window_periods=_POSITIVE),
+    },
+)
+SWEPT = st.sampled_from([
+    "material.epsilon", "viscosity.eta", "initial.orbit_radius",
+    "integrator.t_end", "classifier.cdot_max", "body.density",
+])
+CONFIG_PROPERTY = settings(max_examples=25, deadline=None)
+
+
+def _leaves(doc, prefix=""):
+    """Dotted path -> value for every non-mapping leaf of a nested mapping."""
+    out = {}
+    for key, value in doc.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+@CONFIG_PROPERTY
+@given(doc=SCENARIO_DOCS)
+def test_config_hash_survives_the_canonical_json_round_trip(doc):
+    sc = es.scenario_from_mapping(doc)
+    again = es.scenario_from_mapping(json.loads(sc.canonical_json()))
+    assert again.canonical_json() == sc.canonical_json()
+    assert again.config_hash() == sc.config_hash()
+
+
+@CONFIG_PROPERTY
+@given(doc=SCENARIO_DOCS, parameter=SWEPT, value=st.floats(0.5, 5.0), index=st.integers(0, 50))
+def test_sweep_point_changes_only_the_swept_key_and_the_seed(doc, parameter, value, index):
+    before = copy.deepcopy(doc)
+    point = es.sweep_point(doc, parameter, value, index)
+    assert doc == before  # the base is never mutated
+
+    base_leaves, point_leaves = _leaves(doc), _leaves(point)
+    missing = object()
+    changed = {
+        key for key in base_leaves.keys() | point_leaves.keys()
+        if base_leaves.get(key, missing) != point_leaves.get(key, missing)
+    }
+    expected = {parameter} if base_leaves.get(parameter, missing) != value else set()
+    if "seed" in doc and index > 0:
+        expected.add("seed")
+    assert changed == expected
+    assert point_leaves[parameter] == value
+    if "seed" in doc:
+        assert point["seed"] == doc["seed"] + index
+
+    # the point is a scenario of its own, and its hash round-trips too
+    sc = es.scenario_from_mapping(point)
+    assert es.scenario_from_mapping(json.loads(sc.canonical_json())).config_hash() == sc.config_hash()
