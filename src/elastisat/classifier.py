@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .body_model import DeformationState, ReferenceBody, skew
-from .dynamics import Trajectory, comoving_decomposition, instantaneous_spin
+from .dynamics import Trajectory
 from .energetics import MaterialParams
 from .equilibria import RelativeEquilibrium, solve_relative_equilibrium
 from .errors import (
@@ -139,18 +139,10 @@ def capture_metrics(
     if n < 8:
         raise InsufficientDataError(f"only {n} samples in the assessment window")
     times = trajectory_tail.times
-
-    gaps = np.empty(n)
-    ys = np.empty((n, 3))
-    for i in range(n):
-        sti = trajectory_tail.state(i)
-        w_s, w_o = instantaneous_spin(body, sti)
-        gaps[i] = abs(np.linalg.norm(w_s) - np.linalg.norm(w_o))
-        _, Y, _ = comoving_decomposition(body, sti)
-        ys[i] = Y
+    gaps = [abs(np.linalg.norm(w_s) - np.linalg.norm(w_o))
+            for w_s, w_o in zip(trajectory_tail.omega_spin, trajectory_tail.omega_orbit)]
     # planet position in the comoving frame is -Y, so its rate is |dY/dt|
-    rates = np.linalg.norm(np.diff(ys, axis=0), axis=1) / np.diff(times)
-    w_s_final, w_o_final = instantaneous_spin(body, trajectory_tail.final_state)
+    rates = np.linalg.norm(np.diff(trajectory_tail.Y, axis=0), axis=1) / np.diff(times)
 
     return CaptureMetrics(
         cdot_max=float(trajectory_tail.cdot_max[-1]),
@@ -159,8 +151,8 @@ def capture_metrics(
         shape_residual=group_orbit_distance(body, trajectory_tail.final_state, equilibrium),
         window=(float(times[0]), float(times[-1])),
         n_samples=n,
-        omega_spin=w_s_final,
-        omega_orbit=w_o_final,
+        omega_spin=trajectory_tail.omega_spin[-1].copy(),
+        omega_orbit=trajectory_tail.omega_orbit[-1].copy(),
     )
 
 
@@ -235,9 +227,7 @@ def classify_outcome(
             f"integration did not complete: {trajectory.termination_reason or term}", term
         )
 
-    st = trajectory.final_state
-    _, omega_orbit = instantaneous_spin(body, st)
-    rate = float(np.linalg.norm(omega_orbit))
+    rate = float(np.linalg.norm(trajectory.omega_orbit[-1]))
     if rate <= 0.0:
         return _undetermined("no orbital motion at the final sample", term)
     window = thresholds.window_periods * 2.0 * np.pi / rate
@@ -261,12 +251,11 @@ def classify_outcome(
             term,
         )
 
-    omega_spin, _ = instantaneous_spin(body, st)
     L0 = trajectory.monitors[-1].L
     try:
         eq = solve_relative_equilibrium(
-            body, material, L0,
-            state0=st, omega0=omega_spin, tol=thresholds.equilibrium_tol,
+            body, material, L0, state0=trajectory.final_state,
+            omega0=trajectory.omega_spin[-1], tol=thresholds.equilibrium_tol,
         )
     except (NoConvergenceError, SingularConfigurationError, ImpactProximityError) as exc:
         return _undetermined(

@@ -17,6 +17,7 @@ import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -84,32 +85,6 @@ def _write_manifest(outdir: Path, config_hash: str, outputs, wall_time: float, e
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _metrics_doc(metrics):
-    if metrics is None:
-        return None
-    return {
-        "cdot_max": metrics.cdot_max,
-        "spin_orbit_gap": metrics.spin_orbit_gap,
-        "y_drift": metrics.y_drift,
-        "shape_residual": metrics.shape_residual,
-        "window": list(metrics.window),
-        "n_samples": metrics.n_samples,
-        "omega_spin": metrics.omega_spin,
-        "omega_orbit": metrics.omega_orbit,
-    }
-
-
-def _thresholds_doc(th):
-    return {
-        "cdot_max": th.cdot_max,
-        "spin_orbit_gap": th.spin_orbit_gap,
-        "y_drift": th.y_drift,
-        "shape_residual": th.shape_residual,
-        "window_periods": th.window_periods,
-        "equilibrium_tol": th.equilibrium_tol,
-    }
-
-
 def _equilibrium_doc(eq):
     if eq is None:
         return None
@@ -151,8 +126,8 @@ def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
         "reason": verdict.reason,
         "escape_energy": verdict.escape_energy,
         "t_impact": verdict.t_impact,
-        "metrics": _metrics_doc(verdict.metrics),
-        "thresholds": _thresholds_doc(scenario.thresholds),
+        "metrics": None if verdict.metrics is None else asdict(verdict.metrics),
+        "thresholds": asdict(scenario.thresholds),
         "equilibrium": _equilibrium_doc(verdict.equilibrium),
         "samples": len(trajectory),
         "t_final": float(trajectory.times[-1]),

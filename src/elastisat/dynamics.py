@@ -3,9 +3,10 @@
 The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
 matrix M prefactored once. f - g comes from energetics.generalized_force,
 the one force kernel: f is the exact gradient force of the conservative
-potentials and g the viscous force. Trajectories carry per-sample energy
-monitors and rigidity diagnostics; termination is event-based (impact,
-escape ceiling, loss of regularity).
+potentials and g the viscous force. solve_ivp integrates it; termination
+is event-based (impact, escape ceiling, loss of regularity). Trajectories
+carry one record per sample: energy monitors, the rigidity diagnostic, and
+the spin, orbital rate and comoving planet offset the classifier reads.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ _SCIPY_METHODS = {"dop853": "DOP853", "rk45": "RK45"}
 class IntegratorSettings:
     """Time-integration controls.
 
-    method: 'dop853' (adaptive embedded RK, order 8, default), 'rk45'
-        (adaptive embedded RK, order 5), or 'rk4' (fixed step; uses
-        max_step as its step size).
+    method: the solve_ivp scheme, 'dop853' (adaptive embedded RK, order 8,
+        default) or 'rk45' (adaptive embedded RK, order 5).
     impact_radius: terminate when any material point gets this close to
         the planet; escape_radius: hard ceiling on the barycenter distance
         that stops runaway runs (classification happens downstream).
@@ -50,14 +50,12 @@ class IntegratorSettings:
     escape_radius: float = 1e3
 
     def __post_init__(self):
-        if self.method not in ("dop853", "rk45", "rk4"):
+        if self.method not in _SCIPY_METHODS:
             raise InvalidParameterError(f"unknown integrator method {self.method!r}")
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise InvalidParameterError("tolerances must be positive")
         if self.t_end <= 0:
             raise InvalidParameterError("t_end must be positive")
-        if self.method == "rk4" and not np.isfinite(self.max_step):
-            raise InvalidParameterError("fixed-step rk4 needs a finite max_step")
         if self.record_every is not None and self.record_every <= 0:
             raise InvalidParameterError("record_every must be positive")
 
@@ -68,19 +66,24 @@ class IntegratorSettings:
 
 @dataclass
 class Trajectory:
-    """Recorded integration output: states, monitors, diagnostics, termination.
+    """Recorded integration output: one record per sample, and the termination.
 
-    nfev and njev count the right-hand-side and Jacobian evaluations of the
-    whole run (solve_ivp's counts, or the rk4 loop's own).
+    Each sample i holds the state (q_history[i], qdot_history[i]), its
+    energy monitors, the sup-node Cauchy-Green rate cdot_max[i], the
+    comoving planet offset Y[i] of comoving_decomposition, and the spin
+    and orbital angular velocities omega_spin[i], omega_orbit[i] of
+    instantaneous_spin.  nfev and njev count solve_ivp's right-hand-side
+    and Jacobian evaluations over the whole run.
     """
 
     times: np.ndarray
     q_history: np.ndarray        # (n, 3N)
     qdot_history: np.ndarray     # (n, 3N)
     monitors: list[EnergyBreakdown]
-    cdot_max: np.ndarray
-    y_norm: np.ndarray
-    omega_norm: np.ndarray
+    cdot_max: np.ndarray         # (n,)
+    Y: np.ndarray                # (n, 3)
+    omega_spin: np.ndarray       # (n, 3)
+    omega_orbit: np.ndarray      # (n, 3)
     termination: str             # completed | impact-detected | escape-detected | step-failure
     termination_reason: str = ""
     nfev: int = 0
@@ -106,8 +109,9 @@ class Trajectory:
             qdot_history=self.qdot_history[idx],
             monitors=[self.monitors[i] for i in idx],
             cdot_max=self.cdot_max[idx],
-            y_norm=self.y_norm[idx],
-            omega_norm=self.omega_norm[idx],
+            Y=self.Y[idx],
+            omega_spin=self.omega_spin[idx],
+            omega_orbit=self.omega_orbit[idx],
             termination=self.termination,
             termination_reason=self.termination_reason,
             nfev=self.nfev,
@@ -118,10 +122,11 @@ class Trajectory:
         """Monitor table in the frozen MONITOR_COLUMNS order, shape (n, 13)."""
         rows = np.empty((len(self.times), len(MONITOR_COLUMNS)))
         for i, (t, mon) in enumerate(zip(self.times, self.monitors)):
+            # one norm per vector: np.linalg.norm(X, axis=1) can differ in the last bit
             rows[i] = (
                 t, mon.K, mon.U_g, mon.U_sg, mon.U_e, mon.H,
                 mon.L[0], mon.L[1], mon.L[2], mon.dissipation_rate,
-                self.cdot_max[i], self.y_norm[i], self.omega_norm[i],
+                self.cdot_max[i], np.linalg.norm(self.Y[i]), np.linalg.norm(self.omega_spin[i]),
             )
         return rows
 
@@ -202,28 +207,32 @@ def _monitor_sample(body, state, material, viscosity):
     )
     cdot = max_cauchy_green_rate(body, state)
     _, Y, _ = comoving_decomposition(body, state)
-    omega_spin, _ = instantaneous_spin(body, state)
-    return mon, cdot, float(np.linalg.norm(Y)), float(np.linalg.norm(omega_spin))
+    omega_spin, omega_orbit = instantaneous_spin(body, state)
+    return mon, cdot, Y, omega_spin, omega_orbit
 
 
 def _build_trajectory(body, times, states, material, viscosity, termination, reason,
                       nfev, njev):
+    """The per-sample record of states (n, 2 * 3N) recorded at times."""
     n = len(times)
     nq = states.shape[1] // 2
-    monitors, cdots, ys, oms = [], np.empty(n), np.empty(n), np.empty(n)
+    monitors, cdots = [], np.empty(n)
+    Y, omega_spin, omega_orbit = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
     for i in range(n):
         st = DeformationState(states[i, :nq], states[i, nq:])
-        mon, cd, yn, om = _monitor_sample(body, st, material, viscosity)
+        mon, cdots[i], Y[i], omega_spin[i], omega_orbit[i] = _monitor_sample(
+            body, st, material, viscosity
+        )
         monitors.append(mon)
-        cdots[i], ys[i], oms[i] = cd, yn, om
     return Trajectory(
         times=np.asarray(times, dtype=float),
         q_history=states[:, :nq].copy(),
         qdot_history=states[:, nq:].copy(),
         monitors=monitors,
         cdot_max=cdots,
-        y_norm=ys,
-        omega_norm=oms,
+        Y=Y,
+        omega_spin=omega_spin,
+        omega_orbit=omega_orbit,
         termination=termination,
         termination_reason=reason,
         nfev=nfev,
@@ -272,77 +281,38 @@ def integrate(
     n_samples = max(1, int(round(settings.t_end / dt)))
     t_eval = np.linspace(0.0, settings.t_end, n_samples + 1)
 
-    if settings.method in _SCIPY_METHODS:
-        sol = solve_ivp(
-            rhs,
-            (0.0, settings.t_end),
-            y0,
-            method=_SCIPY_METHODS[settings.method],
-            rtol=settings.rel_tol,
-            atol=settings.abs_tol,
-            max_step=settings.max_step,
-            t_eval=t_eval,
-            events=[impact_event, escape_event, singular_event],
-            dense_output=False,
-        )
-        times = list(sol.t)
-        states = list(sol.y.T)
-        if sol.status == 1:
-            tags = ["impact-detected", "escape-detected", "step-failure"]
-            reasons = ["impact radius reached", "escape ceiling crossed",
-                       "configuration became singular (det Dzeta -> 0)"]
-            which = next(i for i, te in enumerate(sol.t_events) if len(te) > 0)
-            termination, reason = tags[which], reasons[which]
-            t_ev = sol.t_events[which][0]
-            if not times or times[-1] < t_ev:
-                times.append(t_ev)
-                states.append(sol.y_events[which][0])
-        elif sol.status == 0:
-            termination, reason = "completed", ""
-        else:
-            termination, reason = "step-failure", sol.message
-        if not times:  # event fired before the first sample beyond t=0
-            times, states = [0.0], [y0]
-        nfev, njev = int(sol.nfev), int(sol.njev)
-    else:  # fixed-step rk4
-        times, states, termination, reason, nfev = _integrate_rk4(
-            rhs, y0, settings, impact_event, escape_event, singular_event
-        )
-        njev = 0
+    sol = solve_ivp(
+        rhs,
+        (0.0, settings.t_end),
+        y0,
+        method=_SCIPY_METHODS[settings.method],
+        rtol=settings.rel_tol,
+        atol=settings.abs_tol,
+        max_step=settings.max_step,
+        t_eval=t_eval,
+        events=[impact_event, escape_event, singular_event],
+        dense_output=False,
+    )
+    times = list(sol.t)
+    states = list(sol.y.T)
+    if sol.status == 1:
+        tags = ["impact-detected", "escape-detected", "step-failure"]
+        reasons = ["impact radius reached", "escape ceiling crossed",
+                   "configuration became singular (det Dzeta -> 0)"]
+        which = next(i for i, te in enumerate(sol.t_events) if len(te) > 0)
+        termination, reason = tags[which], reasons[which]
+        t_ev = sol.t_events[which][0]
+        if not times or times[-1] < t_ev:
+            times.append(t_ev)
+            states.append(sol.y_events[which][0])
+    elif sol.status == 0:
+        termination, reason = "completed", ""
+    else:
+        termination, reason = "step-failure", sol.message
+    if not times:  # event fired before the first sample beyond t=0
+        times, states = [0.0], [y0]
 
     return _build_trajectory(
         body, np.array(times), np.array(states), material, viscosity, termination, reason,
-        nfev, njev,
+        int(sol.nfev), int(sol.njev),
     )
-
-
-def _integrate_rk4(rhs, y0, settings, *events):
-    h = settings.max_step
-    record_stride = max(1, int(round(settings.sample_interval / h)))
-    tags = ["impact-detected", "escape-detected", "step-failure"]
-    reasons = ["impact radius reached", "escape ceiling crossed",
-               "configuration became singular (det Dzeta -> 0)"]
-    times, states = [0.0], [y0.copy()]
-    t, y = 0.0, y0.copy()
-    n_steps = int(np.ceil(settings.t_end / h))
-    termination, reason = "completed", ""
-    nfev = 0
-    for step in range(1, n_steps + 1):
-        hh = min(h, settings.t_end - t)
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * hh, y + 0.5 * hh * k1)
-        k3 = rhs(t + 0.5 * hh, y + 0.5 * hh * k2)
-        k4 = rhs(t + hh, y + hh * k3)
-        y = y + (hh / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t + hh
-        nfev += 4
-        hit = next((i for i, ev in enumerate(events) if ev(t, y) <= 0.0), None)
-        if hit is not None:
-            times.append(t)
-            states.append(y.copy())
-            termination, reason = tags[hit], reasons[hit]
-            break
-        if step % record_stride == 0 or t >= settings.t_end:
-            times.append(t)
-            states.append(y.copy())
-    return times, states, termination, reason, nfev

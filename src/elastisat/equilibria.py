@@ -296,7 +296,6 @@ def nondegeneracy_spectrum(
         e[j] = 1.0
         Dq[:, j] = angular_momentum(body, DeformationState(e, v))
         Dv[:, j] = angular_momentum(body, DeformationState(q, e))
-    K = null_space(np.hstack([Dq, Dv]))
 
     axis = eq.L / np.linalg.norm(eq.L)
     E = skew(axis)
@@ -304,7 +303,17 @@ def nondegeneracy_spectrum(
         (q.reshape(-1, 3) @ E.T).reshape(-1),
         (v.reshape(-1, 3) @ E.T).reshape(-1),
     ])
-    Hr = K.T @ Hfull @ K
+    return _restricted_spectrum(Hfull, np.hstack([Dq, Dv]), T, floor_rel)
+
+
+def _restricted_spectrum(H, dL, T, floor_rel) -> NondegeneracyReport:
+    """Signature of the Hessian H on ker dL with the orbit tangent T projected out.
+
+    Eigenvalues with modulus below floor_rel times the spectral radius
+    count as zero.
+    """
+    K = null_space(dL)
+    Hr = K.T @ H @ K
     t_k = K.T @ T
     if np.linalg.norm(t_k) > 1e-12 * max(1.0, np.linalg.norm(T)):
         Q = null_space(t_k.reshape(1, -1))
@@ -314,15 +323,12 @@ def nondegeneracy_spectrum(
 
     eigenvalues = np.linalg.eigvalsh(Hp)
     floor = floor_rel * float(np.max(np.abs(eigenvalues)))
-    n_zero = int(np.sum(np.abs(eigenvalues) < floor))
-    n_negative = int(np.sum(eigenvalues <= -floor))
-    n_positive = int(np.sum(eigenvalues >= floor))
     return NondegeneracyReport(
         eigenvalues=eigenvalues,
         floor=floor,
-        n_negative=n_negative,
-        n_zero=n_zero,
-        n_positive=n_positive,
+        n_negative=int(np.sum(eigenvalues <= -floor)),
+        n_zero=int(np.sum(np.abs(eigenvalues) < floor)),
+        n_positive=int(np.sum(eigenvalues >= floor)),
     )
 
 
@@ -430,19 +436,9 @@ def _rigid_spectrum(rigid, R0, c, omega, kM, floor_rel, fd_step=1e-5):
                 H[i, j] = H[j, i] = (psi(upp) - psi(upm) - psi(ump) + psi(umm)) / (4.0 * hi * hj)
 
     dL = _rigid_momentum_jacobian(rigid, R0, c, v, omega)
-    K = null_space(dL)
     axis = L0 / np.linalg.norm(L0)
     T = np.concatenate([np.cross(axis, c), R0.T @ axis, np.cross(axis, v), np.cross(axis, omega)])
-    Hr = K.T @ H @ K
-    t_k = K.T @ T
-    if np.linalg.norm(t_k) > 1e-12 * max(1.0, np.linalg.norm(T)):
-        Q = null_space(t_k.reshape(1, -1))
-        Hp = Q.T @ Hr @ Q
-    else:
-        Hp = Hr
-    eigenvalues = np.linalg.eigvalsh(Hp)
-    floor = floor_rel * float(np.max(np.abs(eigenvalues)))
-    return eigenvalues, floor, L0
+    return _restricted_spectrum(H, dL, T, floor_rel), L0
 
 
 def rigid_quadrupole_catalog(
@@ -520,9 +516,7 @@ def rigid_quadrupole_catalog(
                         omega, I_s @ omega
                     )
 
-                    eigenvalues, floor, L = _rigid_spectrum(
-                        rigid, R, c, omega, kM, floor_rel
-                    )
+                    report, L = _rigid_spectrum(rigid, R, c, omega, kM, floor_rel)
                     energy = (
                         0.5 * m * (v @ v)
                         + 0.5 * (omega @ I_s @ omega)
@@ -540,10 +534,10 @@ def rigid_quadrupole_catalog(
                             angular_momentum=L,
                             res_force=res_force,
                             res_torque=res_torque,
-                            eigenvalues=eigenvalues,
-                            n_negative=int(np.sum(eigenvalues <= -floor)),
-                            n_zero=int(np.sum(np.abs(eigenvalues) < floor)),
-                            n_positive=int(np.sum(eigenvalues >= floor)),
+                            eigenvalues=report.eigenvalues,
+                            n_negative=report.n_negative,
+                            n_zero=report.n_zero,
+                            n_positive=report.n_positive,
                         )
                     )
     return entries

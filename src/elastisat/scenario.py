@@ -348,15 +348,18 @@ def scenario_from_mapping(doc) -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
+def _read_yaml(path):
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            return yaml.safe_load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except yaml.YAMLError as exc:
         raise ConfigError(f"could not parse {path}: {exc}") from exc
-    return scenario_from_mapping(doc)
+
+
+def load_scenario(path) -> Scenario:
+    return scenario_from_mapping(_read_yaml(path))
 
 
 _SWEEP_KEYS = {"base", "sweep"}
@@ -370,14 +373,7 @@ def load_sweep(path):
     document with the dotted path overridden and, when a seed is present,
     the seed advanced by the point index.
     """
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except FileNotFoundError as exc:
-        raise ConfigError(f"config file not found: {path}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"could not parse {path}: {exc}") from exc
-    doc = _require_mapping(doc, "document root")
+    doc = _require_mapping(_read_yaml(path), "document root")
     _check_keys(doc, _SWEEP_KEYS, "document root")
     if "base" not in doc or "sweep" not in doc:
         raise ConfigError("sweep file needs both a base and a sweep section")
@@ -390,6 +386,10 @@ def load_sweep(path):
     values = sweep_sec.get("values")
     if not isinstance(values, list) or not values:
         raise ConfigError("sweep.values must be a nonempty list")
+    try:  # the sweep hash and the summary encode base and values as JSON
+        json.dumps({"base": base, "values": values}, sort_keys=True)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"sweep base and values must be JSON data: {exc}") from exc
     scenario_from_mapping(sweep_point(base, parameter, values[0], 0))  # fail fast
     return base, parameter, values
 

@@ -1,12 +1,10 @@
 """Trichotomy classifier: metrics, invariance, and evidence gates."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
 import elastisat as es
-from elastisat.dynamics import EnergyBreakdown, Trajectory
+from elastisat.dynamics import EnergyBreakdown, Trajectory, _build_trajectory
 from elastisat.errors import (
     ImpactProximityError,
     InsufficientDataError,
@@ -47,11 +45,14 @@ def test_metrics_invariant_under_group_rotation(triaxial, material):
     n = len(traj)
     qh = traj.q_history.reshape(n, -1, 3) @ R.T
     vh = traj.qdot_history.reshape(n, -1, 3) @ R.T
-    rotated = dataclasses.replace(
-        traj,
-        q_history=qh.reshape(n, -1),
-        qdot_history=vh.reshape(n, -1),
+    # rebuild the whole per-sample record, as integrate does, from the rotated states
+    rotated = _build_trajectory(
+        triaxial, traj.times, np.hstack([qh.reshape(n, -1), vh.reshape(n, -1)]),
+        material, es.ViscosityParams(0.0), traj.termination, traj.termination_reason,
+        traj.nfev, traj.njev,
     )
+    assert np.allclose(rotated.Y, traj.Y, atol=1e-12)  # Y is a body-frame vector
+    assert np.allclose(rotated.omega_spin, traj.omega_spin @ R.T, atol=1e-12)
     rot = es.capture_metrics(triaxial, rotated, eq)
     assert rot.cdot_max == pytest.approx(base.cdot_max, abs=1e-14)
     assert rot.spin_orbit_gap == pytest.approx(base.spin_orbit_gap, abs=1e-12)
@@ -106,8 +107,9 @@ def test_windowed_dissipation_on_synthetic_decay():
         qdot_history=np.zeros((times.size, 12)),
         monitors=monitors,
         cdot_max=np.zeros(times.size),
-        y_norm=np.zeros(times.size),
-        omega_norm=np.zeros(times.size),
+        Y=np.zeros((times.size, 3)),
+        omega_spin=np.zeros((times.size, 3)),
+        omega_orbit=np.zeros((times.size, 3)),
         termination="completed",
         termination_reason=None,
     )

@@ -6,6 +6,7 @@ observable without spawning interpreters; one smoke test goes through
 """
 
 import csv
+import datetime
 import hashlib
 import json
 import subprocess
@@ -222,6 +223,21 @@ def test_sweep_survives_a_bad_point(tmp_path):
     assert error["index"] == 1
     assert error["error_type"] == "ConfigError"
     assert "epsilon" in error["error"]
+
+
+@pytest.mark.parametrize("where", ["values", "base"])
+def test_sweep_rejects_data_json_cannot_encode(tmp_path, where):
+    # a YAML date past index 0 used to crash the summary's json.dumps (exit 1)
+    base = _orbital_doc(integrator={"t_end": 0.5, "record_every": 0.25})
+    values = [0.5, datetime.date(2020, 1, 1)]
+    if where == "base":
+        base["initial"]["rotation_angle"] = datetime.date(2020, 1, 1)
+        values = [0.5, 0.75]
+    sweep = {"base": base, "sweep": {"parameter": "integrator.t_end", "values": values}}
+    cfg = _write(tmp_path / "sweep.yaml", sweep)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_module_entrypoint_smoke(tmp_path):
