@@ -187,8 +187,9 @@ class ReferenceBody:
 
         Row a is sum_s w_s P_s grad m_a(x_s): the stress-rule quadrature of
         P : Dphi, the adjoint of stress_gradients under the stress weights.
+        Leading axes of P, if any, are a batch and lead the result too.
         """
-        return np.einsum("s,sij,sja->ai", self.stress_weights, P, self.stress_Gm)
+        return np.einsum("s,...sij,sja->...ai", self.stress_weights, P, self.stress_Gm)
 
     def barycenter(self, q: np.ndarray) -> np.ndarray:
         """Mass center of the deformed body (exact for polynomial maps)."""

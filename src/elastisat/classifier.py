@@ -194,7 +194,9 @@ def classify_outcome(
 
     Never raises on ambiguity: anything that fails the capture evidence
     chain (short tail, no equilibrium at the trajectory momentum, metric
-    above gate) comes back Undetermined with the failing reason.
+    above gate) comes back Undetermined with the failing reason.  A Newton
+    solve that runs out of iterations, whose line search stalls, or whose
+    seed (the final state) is not admissible counts as no equilibrium.
     """
     term = trajectory.termination
 

@@ -94,6 +94,7 @@ def _equilibrium_doc(eq):
         "L": eq.L,
         "residual_norm": eq.residual_norm,
         "iterations": eq.iterations,
+        "residual_trace": eq.residual_trace,
         "energy": eq.energy,
         "augmented_energy": eq.augmented_energy,
         "orbit_radius": eq.orbit_radius,

@@ -97,12 +97,27 @@ def stored_energy_density(x, F, params: MaterialParams) -> float:
     return (0.5 * params.lam * tr * tr + params.mu * np.sum(E * E)) / params.epsilon
 
 
+def _second_piola(E, params: MaterialParams) -> np.ndarray:
+    """S = (lam tr E I + 2 mu E)/eps for E of shape (..., 3, 3); linear in E."""
+    trE = E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2]
+    return (params.lam * trE[..., None, None] * _I3 + 2.0 * params.mu * E) / params.epsilon
+
+
 def first_piola(F, params: MaterialParams) -> np.ndarray:
     """dW/dF = F S for F of shape (..., 3, 3), S = (lam tr E I + 2 mu E)/eps."""
     E = 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
-    trE = E[..., 0, 0] + E[..., 1, 1] + E[..., 2, 2]
-    S = (params.lam * trE[..., None, None] * _I3 + 2.0 * params.mu * E) / params.epsilon
-    return np.matmul(F, S)
+    return np.matmul(F, _second_piola(E, params))
+
+
+def _first_piola_tangent(F, dF, params: MaterialParams) -> np.ndarray:
+    """Derivative of first_piola at F along dF: dF S + F S(dE), dE = sym(F^T dF).
+
+    F has shape (..., 3, 3) and dF broadcasts against it.
+    """
+    E = 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
+    FtdF = np.matmul(np.swapaxes(F, -1, -2), dF)
+    dE = 0.5 * (FtdF + np.swapaxes(FtdF, -1, -2))
+    return np.matmul(dF, _second_piola(E, params)) + np.matmul(F, _second_piola(dE, params))
 
 
 def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
@@ -213,6 +228,51 @@ def conservative_force(
     """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
     Z, _ = require_regular(body, state, impact_radius)
     return generalized_force(body, Z, body.stress_gradients(state.q), None, params).reshape(-1)
+
+
+def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams) -> np.ndarray:
+    """Hessian of U_g + U_sg + U_e in the Galerkin coefficients, shape (3N, 3N).
+
+    The exact derivative of the conservative part of generalized_force, on
+    the same rules. Per full-rule node, gravity contributes the block
+    kM m_q (I/r^3 - 3 Z Z^T/r^5); self-gravity adds the pair blocks
+    2 (delta_qp sum_r B_qr - B_qp), B_qp = k m_q m_p (I/s^3 - 3 d d^T/s^5)
+    the Hessian of one softened pair term. Both are pulled back through
+    zeta = P A. The stored energy contributes the stress-rule quadrature
+    of the Saint Venant-Kirchhoff tangent along every coefficient
+    direction (the tangent of first_piola, summed by stress_divergence).
+    """
+    q = np.asarray(q, dtype=float)
+    Z, _ = require_regular(body, DeformationState(q, np.zeros_like(q)))
+    n = q.size
+    nq, nm = body.P.shape
+    m = body.density * body.weights
+    r2 = np.einsum("qi,qi->q", Z, Z)
+    c3 = params.kM * m / (r2 * np.sqrt(r2))
+    ZZ = Z[:, :, None] * Z[:, None, :]
+    blocks = c3[:, None, None] * _I3 - 3.0 * (c3 / r2)[:, None, None] * ZZ
+    H = np.zeros((n, n))
+    if params.self_gravity_k > 0.0:
+        inv, diff = _softened_inverse_distances(Z, params.softening)
+        s3 = params.self_gravity_k * m[:, None] * m[None, :] * inv**3
+        # sd[q, i, p] = 3 k m_q m_p d_i / s^5; sd @ diff sums its d d^T terms over p
+        sd = (3.0 * s3 * inv**2)[:, None, :] * np.ascontiguousarray(diff.transpose(0, 2, 1))
+        blocks += 2.0 * (s3.sum(axis=1)[:, None, None] * _I3 - sd @ diff)
+        # B_qp laid out (q, i, p, j), so that it is the (3 nq, 3 nq) pair matrix
+        B = -(sd[:, :, :, None] * diff[:, None, :, :])
+        for i in range(3):
+            B[:, i, :, i] += s3
+        P3 = np.kron(body.P, _I3)
+        H -= 2.0 * (P3.T @ (B.reshape(3 * nq, 3 * nq) @ P3))
+    # node-diagonal blocks: sum_q P_qa P_qb blocks_q
+    PP = (body.P[:, :, None] * body.P[:, None, :]).reshape(nq, nm * nm)
+    H += (PP.T @ blocks.reshape(nq, 9)).reshape(nm, nm, 3, 3).transpose(0, 2, 1, 3).reshape(n, n)
+
+    # stored energy: column (b, k) is the force change along dF_s = e_k grad m_b(x_s)^T
+    F = body.stress_gradients(q)
+    dF = np.einsum("sjb,ik->bksij", body.stress_Gm, _I3).reshape(n, *F.shape)
+    H += body.stress_divergence(_first_piola_tangent(F, dF, params)).reshape(n, n).T
+    return H
 
 
 def gravity_third_derivatives(Y, kM: float):

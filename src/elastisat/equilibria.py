@@ -9,8 +9,13 @@ the closed system
     grad_q U(q) + S A skew(omega)^2 = 0,      L(q, v_e(q, omega)) = L0,
 
 with v_e(q, omega) the rigid velocity field omega x zeta written in
-coefficients.  The Jacobian is singular along the group orbit (rotations
-about L0), so Newton steps are least-squares steps.
+coefficients.  Newton uses the exact Jacobian of this system
+(equilibrium_jacobian, built on energetics.potential_hessian).  The
+Jacobian is singular along the group orbit (rotations about L0), so each
+step is a least-squares step with one more row, the phase condition
+T0 . (u - u0) = 0 with T0 the orbit tangent at the seed u0: it pins where
+on the orbit the solution lands.  The nondegeneracy spectrum takes the
+same potential Hessian, and the rigid catalog a closed-form one.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, null_space
+from scipy.linalg import null_space
 
 from .body_model import (
     DeformationState,
@@ -32,6 +37,7 @@ from .energetics import (
     angular_momentum,
     conservative_force,
     energy_breakdown,
+    potential_hessian,
 )
 from .errors import (
     DegenerateCatalogError,
@@ -82,6 +88,44 @@ def equilibrium_residual(
     v = equilibrium_velocity(body, q, omega)
     res_L = angular_momentum(body, DeformationState(q, v)) - np.asarray(L0, dtype=float)
     return np.concatenate([res_q, res_L])
+
+
+def _momentum_jacobian(body: ReferenceBody, q: np.ndarray, v: np.ndarray):
+    """(dL/dq, dL/dqdot) at (q, v), each (3, 3N); exact, L is bilinear.
+
+    L = sum_a A_a x (S V)_a = sum_b (S A)_b x V_b with A, V the coefficient
+    rows of q and v.
+    """
+    SA = body.S @ np.asarray(q, dtype=float).reshape(-1, 3)
+    SV = body.S @ np.asarray(v, dtype=float).reshape(-1, 3)
+    return np.hstack([-skew(x) for x in SV]), np.hstack([skew(x) for x in SA])
+
+
+def equilibrium_jacobian(
+    body: ReferenceBody,
+    material: MaterialParams,
+    q: np.ndarray,
+    omega,
+) -> np.ndarray:
+    """Exact Jacobian of equilibrium_residual in (q, omega), shape (3N + 3, 3N + 3).
+
+    The q block is potential_hessian + kron(S, W^2), the omega block
+    S A d(W^2)/d omega, and the momentum rows follow from L being bilinear
+    in (q, v) with v = A W^T.  L0 only shifts the residual.
+    """
+    q = np.asarray(q, dtype=float)
+    omega = np.asarray(omega, dtype=float)
+    A = q.reshape(-1, 3)
+    W = skew(omega)
+    dW = [skew(e) for e in np.eye(3)]
+    Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(body, q, omega))
+    SA = body.S @ A
+    return np.block([
+        [potential_hessian(body, q, material) + np.kron(body.S, W @ W),
+         np.column_stack([(SA @ (E @ W + W @ E)).reshape(-1) for E in dW])],
+        [Dq + Dv @ np.kron(np.eye(A.shape[0]), W),
+         Dv @ np.column_stack([(A @ E.T).reshape(-1) for E in dW])],
+    ])
 
 
 def synchronous_guess(body: ReferenceBody, material: MaterialParams, orbit_radius: float):
@@ -138,15 +182,18 @@ def solve_relative_equilibrium(
     omega0=None,
     tol: float = 1e-12,
     max_iter: int = 80,
-    fd_step: float = 1e-6,
 ) -> RelativeEquilibrium:
-    """Newton iteration with least-squares steps and backtracking.
+    """Newton iteration with the exact Jacobian, a phase row and backtracking.
 
     L0 is the prescribed angular momentum.  A rigid Keplerian guess is
-    built from |L0| when no seed is supplied.  Raises NoConvergenceError
-    (with the residual trace attached) if the infinity norm of the
-    residual does not reach tol, or if the finite-difference stencil
-    leaves the admissible set (det Dzeta <= 0 or a node at the planet).
+    built from |L0| when no seed is supplied.  Each step solves
+    [J; T0] s = [-res; -T0 . (u - u0)] in the least-squares sense, with J
+    from equilibrium_jacobian and T0 the unit tangent at the seed u0 of
+    the rotation orbit about L0.  A line-search trial point outside the
+    admissible set (det Dzeta <= 0 or a node at the planet) is rejected
+    like a poor one.  Raises NoConvergenceError (with the residual trace
+    attached) if the infinity norm of the residual does not reach tol
+    within max_iter iterations, or if the line search stalls.
     """
     L0 = np.asarray(L0, dtype=float)
     if L0.shape != (3,) or not np.any(L0):
@@ -167,6 +214,10 @@ def solve_relative_equilibrium(
 
     u = np.concatenate([state0.q, np.asarray(omega_seed, dtype=float)])
     nq = body.n_modes
+    u0 = u.copy()
+    N = skew(L0 / np.linalg.norm(L0))
+    T0 = np.concatenate([(u0[:nq].reshape(-1, 3) @ N.T).reshape(-1), N @ u0[nq:]])
+    T0 /= np.linalg.norm(T0)
 
     def residual(vec):
         return equilibrium_residual(body, material, vec[:nq], vec[nq:], L0)
@@ -178,20 +229,9 @@ def solve_relative_equilibrium(
     for iterations in range(1, max_iter + 1):
         if float(np.max(np.abs(res))) <= tol:
             break
-        J = np.empty((res.size, u.size))
-        for j in range(u.size):
-            h = fd_step * max(1.0, abs(u[j]))
-            up = u.copy()
-            um = u.copy()
-            up[j] += h
-            um[j] -= h
-            try:
-                J[:, j] = (residual(up) - residual(um)) / (2.0 * h)
-            except (SingularConfigurationError, ImpactProximityError) as exc:
-                raise NoConvergenceError(
-                    f"Jacobian stencil left the admissible set: {exc}", residual_trace=trace
-                ) from exc
-        step = np.linalg.lstsq(J, -res, rcond=None)[0]
+        J = np.vstack([equilibrium_jacobian(body, material, u[:nq], u[nq:]), T0])
+        rhs = np.append(-res, -T0 @ (u - u0))
+        step = np.linalg.lstsq(J, rhs, rcond=None)[0]
         alpha = 1.0
         accepted = False
         while alpha >= 1e-6:
@@ -258,12 +298,12 @@ def nondegeneracy_spectrum(
     material: MaterialParams,
     eq: RelativeEquilibrium,
     floor_rel: float = 1e-8,
-    fd_step: float = 1e-6,
 ) -> NondegeneracyReport:
     """Restricted second-variation test of the augmented energy.
 
-    Builds the full (q, v) Hessian of H - omega_e . L (the L0 shift is
-    affine and drops out), restricts it to the kernel of dL at the
+    Builds the exact full (q, v) Hessian of H - omega_e . L, with its q
+    block from potential_hessian (the L0 shift is affine and drops out),
+    restricts it to the kernel of dL at the
     equilibrium, projects out the tangent of the rotation orbit about
     L0, and reports the eigenvalue signature.  Eigenvalues with modulus
     below floor_rel times the spectral radius count as zero.
@@ -273,29 +313,10 @@ def nondegeneracy_spectrum(
     n = q.size
     M = mass_matrix(body)
 
-    Hqq = np.empty((n, n))
-    for j in range(n):
-        h = fd_step * max(1.0, abs(q[j]))
-        qp = q.copy()
-        qm = q.copy()
-        qp[j] += h
-        qm[j] -= h
-        Hqq[:, j] = (
-            potential_gradient(body, material, qp) - potential_gradient(body, material, qm)
-        ) / (2.0 * h)
-    Hqq = 0.5 * (Hqq + Hqq.T)
-
+    Hqq = potential_hessian(body, q, material)
     Rot = np.kron(np.eye(n // 3), skew(eq.omega))
     Hfull = np.block([[Hqq, -Rot.T @ M], [-M @ Rot, M]])
-
-    # dL is bilinear, so its columns are exact momentum evaluations.
-    Dq = np.empty((3, n))
-    Dv = np.empty((3, n))
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        Dq[:, j] = angular_momentum(body, DeformationState(e, v))
-        Dv[:, j] = angular_momentum(body, DeformationState(q, e))
+    Dq, Dv = _momentum_jacobian(body, q, v)
 
     axis = eq.L / np.linalg.norm(eq.L)
     E = skew(axis)
@@ -385,15 +406,6 @@ def _maccullagh_potential(c, I_s, mass, kM):
     return -kM * mass / r - kM * quad / (2.0 * r**3)
 
 
-def _rigid_energy(u, rigid, R0, kM, L0, omega_e):
-    c, th, v, w = u[0:3], u[3:6], u[6:9], u[9:12]
-    R = R0 @ expm(skew(th))
-    I_s = R @ rigid.inertia @ R.T
-    L = rigid.mass * np.cross(c, v) + I_s @ w
-    K = 0.5 * rigid.mass * (v @ v) + 0.5 * (w @ I_s @ w)
-    return K + _maccullagh_potential(c, I_s, rigid.mass, kM) - omega_e @ (L - L0)
-
-
 def _rigid_momentum_jacobian(rigid, R0, c, v, w):
     """Analytic dL over the chart (c, theta, v, w) at theta = 0."""
     I_ref = rigid.inertia
@@ -408,33 +420,57 @@ def _rigid_momentum_jacobian(rigid, R0, c, v, w):
     return dL
 
 
-def _rigid_spectrum(rigid, R0, c, omega, kM, floor_rel, fd_step=1e-5):
+def _rigid_hessian(rigid, R0, c, omega, kM):
+    """Exact Hessian of the augmented rigid energy over (c, theta, v, w) at theta = 0, w = omega.
+
+    psi = m |v|^2/2 + w.I_s w/2 + U(c, I_s) - omega.(m c x v + I_s w - L0)
+    with U the MacCullagh potential and I_s(theta) = R I_ref R^T for the
+    attitude R = R0 exp(skew theta).  psi is linear in I_s, and to second
+    order, with K = sum_k theta_k X_k and X_k = skew(R0 e_k),
+
+        I_s(theta) = I_s + (K I_s - I_s K) + (K^2 I_s + I_s K^2)/2 - K I_s K + ...
+
+    The theta-w block, (K I_s - I_s K)(w - omega), vanishes at w = omega.
+    """
+    m = rigid.mass
+    I_s = R0 @ rigid.inertia @ R0.T
+    r = float(np.linalg.norm(c))
+    I3 = np.eye(3)
+    Ic = I_s @ c
+    cIc = float(c @ Ic)
+    cc = np.outer(c, c)
+
+    X = np.array([skew(R0[:, k]) for k in range(3)])
+    D = X @ I_s - I_s @ X                                   # d I_s / d theta_k
+    XX = np.einsum("kij,ljm->klim", X, X)
+    XX = 0.5 * (XX + XX.transpose(1, 0, 2, 3))
+    KJK = X[:, None] @ I_s @ X[None, :]
+    Q = XX @ I_s + I_s @ XX - KJK - KJK.transpose(1, 0, 2, 3)   # d2 I_s / d theta_k d theta_l
+    # psi = <I_s, G> + terms free of theta
+    G = 1.5 * kM * cc / r**5 - 0.5 * np.outer(omega, omega)
+
+    H = np.zeros((12, 12))
+    H[0:3, 0:3] = (
+        kM * m * (I3 / r**3 - 3.0 * cc / r**5)
+        + kM * np.trace(I_s) * (1.5 * I3 / r**5 - 7.5 * cc / r**7)
+        + 1.5 * kM * (2.0 * I_s / r**5 - 10.0 * (np.outer(Ic, c) + np.outer(c, Ic)) / r**7
+                      - 5.0 * cIc * I3 / r**7 + 35.0 * cIc * cc / r**9)
+    )
+    H[0:3, 3:6] = 1.5 * kM * (2.0 * (D @ c).T / r**5 - 5.0 * np.outer(c, D @ c @ c) / r**7)
+    H[3:6, 0:3] = H[0:3, 3:6].T
+    H[0:3, 6:9] = m * skew(omega)
+    H[6:9, 0:3] = H[0:3, 6:9].T
+    H[3:6, 3:6] = np.einsum("klij,ij->kl", Q, G)
+    H[6:9, 6:9] = m * I3
+    H[9:12, 9:12] = I_s
+    return H
+
+
+def _rigid_spectrum(rigid, R0, c, omega, kM, floor_rel):
     v = np.cross(omega, c)
     I_s = R0 @ rigid.inertia @ R0.T
     L0 = rigid.mass * np.cross(c, v) + I_s @ omega
-    u0 = np.concatenate([c, np.zeros(3), v, omega])
-
-    def psi(u):
-        return _rigid_energy(u, rigid, R0, kM, L0, omega)
-
-    n = 12
-    H = np.empty((n, n))
-    base = psi(u0)
-    hs = fd_step * np.maximum(1.0, np.abs(u0))
-    for i in range(n):
-        for j in range(i, n):
-            hi, hj = hs[i], hs[j]
-            if i == j:
-                up = u0.copy(); up[i] += hi
-                um = u0.copy(); um[i] -= hi
-                H[i, i] = (psi(up) - 2.0 * base + psi(um)) / hi**2
-            else:
-                upp = u0.copy(); upp[i] += hi; upp[j] += hj
-                upm = u0.copy(); upm[i] += hi; upm[j] -= hj
-                ump = u0.copy(); ump[i] -= hi; ump[j] += hj
-                umm = u0.copy(); umm[i] -= hi; umm[j] -= hj
-                H[i, j] = H[j, i] = (psi(upp) - psi(upm) - psi(ump) + psi(umm)) / (4.0 * hi * hj)
-
+    H = _rigid_hessian(rigid, R0, c, omega, kM)
     dL = _rigid_momentum_jacobian(rigid, R0, c, v, omega)
     axis = L0 / np.linalg.norm(L0)
     T = np.concatenate([np.cross(axis, c), R0.T @ axis, np.cross(axis, v), np.cross(axis, omega)])

@@ -137,6 +137,15 @@ def test_degenerate_catalog_exits_3(tmp_path):
     assert main(["catalog", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
+def _assert_residual_trace(eq_doc):
+    # one 2-norm before the first step and one per accepted step; the last
+    # iteration finds the residual below tol and takes no step
+    trace = eq_doc["residual_trace"]
+    assert len(trace) == eq_doc["iterations"]
+    assert all(b <= a for a, b in zip(trace, trace[1:]))
+    assert eq_doc["residual_norm"] <= trace[-1]
+
+
 def test_equilibria_solves_and_reports_spectrum(tmp_path, capsys):
     cfg = _write(tmp_path / "eq.yaml", _orbital_doc())
     out = tmp_path / "out"
@@ -144,11 +153,27 @@ def test_equilibria_solves_and_reports_spectrum(tmp_path, capsys):
     assert "nondegenerate" in capsys.readouterr().out
     doc = json.loads((out / "equilibrium.json").read_text())
     assert doc["residual_norm"] < 1e-10
+    assert doc["iterations"] > 1
+    _assert_residual_trace(doc)
     # the quadrupole correction pulls the synchronous radius inside Kepler
     assert 2.5 < doc["orbit_radius"] < 3.0
     assert doc["spectrum"]["nondegenerate"] is True
     assert doc["spectrum"]["n_zero"] == 0
     assert len(doc["q"]) == 12
+
+
+def test_simulate_writes_the_matched_equilibrium_with_its_trace(tmp_path):
+    # a run that starts on a relative equilibrium reaches the classifier's
+    # Newton solve, whose result lands in result.json
+    doc = _orbital_doc(initial={"kind": "equilibrium", "orbit_radius": 3.0},
+                       integrator={"record_every": 0.1},
+                       classifier={"window_periods": 0.05})
+    cfg = _write(tmp_path / "eq.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["equilibrium"] is not None
+    _assert_residual_trace(result["equilibrium"])
 
 
 def test_equilibria_accepts_an_equilibrium_scenario_with_orbit_radius(tmp_path, capsys):

@@ -2,12 +2,23 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
+from elastisat import equilibria
 from elastisat.body_model import skew
-from elastisat.equilibria import equilibrium_residual, equilibrium_velocity
+from elastisat.equilibria import (
+    RigidBodyModel,
+    _maccullagh_potential,
+    _rigid_hessian,
+    equilibrium_jacobian,
+    equilibrium_residual,
+    equilibrium_velocity,
+)
 from elastisat.errors import DegenerateCatalogError, NoConvergenceError
+
+SELF_GRAVITY = es.MaterialParams(self_gravity_k=0.2, softening=0.05)
 
 
 def _solve_at_radius(body, material, r):
@@ -115,9 +126,10 @@ def test_solver_failure_carries_residual_trace(triaxial, material):
 
 @pytest.mark.parametrize("draw, converges", [(5, True), (11, False)])
 def test_newton_survives_inadmissible_points(triaxial, material, draw, converges):
-    # Seeds that pass require_regular but whose Newton steps or Jacobian
-    # stencil reach det(Dzeta) <= 0: a trial point there is a rejected step,
-    # and a stencil there ends the solve with NoConvergenceError.
+    # Seeds that pass require_regular but whose Newton steps reach
+    # det(Dzeta) <= 0: a trial point there is a rejected step.  Draw 5
+    # converges anyway; from draw 11 every cut of some step stays
+    # inadmissible or raises the residual, so the line search stalls.
     rng = np.random.default_rng(0)
     for _ in range(draw):
         guess, omega0 = es.synchronous_guess(triaxial, material, 2.5)
@@ -127,8 +139,94 @@ def test_newton_survives_inadmissible_points(triaxial, material, draw, converges
         eq = es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
         assert eq.residual_norm <= 1e-12
     else:
-        with pytest.raises(NoConvergenceError, match="admissible"):
+        with pytest.raises(NoConvergenceError, match="line search stalled"):
             es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+
+
+def _fd_jacobian(body, material, q, omega):
+    """Central finite differences of equilibrium_residual in (q, omega)."""
+    u = np.concatenate([q, omega])
+    n = q.size
+    cols = []
+    for j in range(u.size):
+        h = 1e-6 * max(1.0, abs(u[j]))
+        up, um = u.copy(), u.copy()
+        up[j] += h
+        um[j] -= h
+        cols.append((equilibrium_residual(body, material, up[:n], up[n:], np.zeros(3))
+                     - equilibrium_residual(body, material, um[:n], um[n:], np.zeros(3)))
+                    / (2.0 * h))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("self_gravity", [False, True])
+def test_newton_jacobian_matches_finite_differences(triaxial, material, self_gravity):
+    mat = SELF_GRAVITY if self_gravity else material
+    rng = np.random.default_rng(71)
+    guess, omega0 = es.synchronous_guess(triaxial, mat, 3.0)
+    for _ in range(3):
+        q = guess.q + 0.05 * rng.standard_normal(guess.q.size)
+        omega = omega0 + 0.05 * rng.standard_normal(3)
+        J = equilibrium_jacobian(triaxial, mat, q, omega)
+        J_fd = _fd_jacobian(triaxial, mat, q, omega)
+        assert np.linalg.norm(J - J_fd) <= 1e-7 * np.linalg.norm(J)
+
+
+@pytest.mark.parametrize("self_gravity", [False, True])
+@pytest.mark.parametrize("r", [2.5, 3.0, 4.0, 6.0])
+def test_phase_row_pins_the_orbit_point(triaxial, material, monkeypatch, r, self_gravity):
+    # The phase row fixes where on the rotation orbit Newton lands, so a
+    # Jacobian that differs at the finite-difference level moves the raw
+    # (unaligned) q by round-off only.
+    mat = SELF_GRAVITY if self_gravity else material
+    eq = _solve_at_radius(triaxial, mat, r)
+    monkeypatch.setattr(equilibria, "equilibrium_jacobian", _fd_jacobian)
+    eq_fd = _solve_at_radius(triaxial, mat, r)
+    assert eq.residual_norm <= 1e-12 and eq_fd.residual_norm <= 1e-12
+    assert np.max(np.abs(eq.q - eq_fd.q)) <= 1e-10
+
+
+def _rigid_energy(u, rigid, R0, kM, L0, omega_e):
+    """Augmented rigid energy over the chart (c, theta, v, w), attitude R0 expm(skew theta)."""
+    c, th, v, w = u[0:3], u[3:6], u[6:9], u[9:12]
+    R = R0 @ expm(skew(th))
+    I_s = R @ rigid.inertia @ R.T
+    L = rigid.mass * np.cross(c, v) + I_s @ w
+    K = 0.5 * rigid.mass * (v @ v) + 0.5 * (w @ I_s @ w)
+    return K + _maccullagh_potential(c, I_s, rigid.mass, kM) - omega_e @ (L - L0)
+
+
+def _fd_rigid_hessian(rigid, fam, kM, h=1e-4):
+    """Four-point central-difference Hessian of _rigid_energy at the family's chart origin."""
+    u0 = np.concatenate([fam.barycenter, np.zeros(3),
+                         np.cross(fam.omega, fam.barycenter), fam.omega])
+    E = h * np.eye(12)
+
+    def psi(u):
+        return _rigid_energy(u, rigid, fam.rotation, kM, fam.angular_momentum, fam.omega)
+
+    H = np.empty((12, 12))
+    for i in range(12):
+        for j in range(i, 12):
+            H[i, j] = H[j, i] = (psi(u0 + E[i] + E[j]) - psi(u0 + E[i] - E[j])
+                                 - psi(u0 - E[i] + E[j]) + psi(u0 - E[i] - E[j])) / (4 * h * h)
+    return H
+
+
+@pytest.mark.parametrize("r", [3.0, 5.0])
+def test_rigid_hessian_matches_the_expm_energy(triaxial, material, r):
+    rigid = RigidBodyModel.from_body(triaxial)
+    for fam in es.rigid_quadrupole_catalog(triaxial, material, r):
+        H = _rigid_hessian(rigid, fam.rotation, fam.barycenter, fam.omega, material.kM)
+        H_fd = _fd_rigid_hessian(rigid, fam, material.kM)
+        assert np.abs(H - H.T).max() <= 1e-14 * np.abs(H).max()
+        # block by block, so the small attitude blocks are held to their own
+        # scale; 1e-7 absolute is about 30 times the stencil's round-off
+        blocks = [slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 12)]
+        for rows in blocks:
+            for cols in blocks:
+                err = np.abs(H[rows, cols] - H_fd[rows, cols]).max()
+                assert err <= 1e-6 * np.abs(H_fd[rows, cols]).max() + 1e-7
 
 
 def test_catalog_enumerates_24_families(triaxial, material):

@@ -1,10 +1,12 @@
-"""Invariants of the force kernel over generated regular states (Hypothesis).
+"""Invariants of the force kernel and its Hessian over generated regular states (Hypothesis).
 
 The states are rigid placements of the triaxial body on orbits of radius
 2.5 to 8 with bounded strain and strain-rate noise.  Material constants,
 self-gravity and viscosity are all switched on, so every term of the
-kernel is exercised.
+kernel is exercised; the Hessian property also runs with self-gravity off.
 """
+
+import dataclasses
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from scipy.spatial.transform import Rotation
 
 import elastisat as es
 from elastisat.body_model import require_regular
-from elastisat.energetics import generalized_force
+from elastisat.energetics import conservative_force, generalized_force, potential_hessian
 from elastisat.errors import SingularConfigurationError
 
 MAT = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
@@ -100,3 +102,23 @@ def test_kernel_is_rotation_equivariant(triaxial, placement, R):
     )
     f_rot = _kernel(triaxial, rotated)
     assert np.linalg.norm(f_rot - f @ R.T) <= 1e-12 * np.linalg.norm(f)
+
+
+@PROPERTY
+@given(placement=PLACEMENTS, self_gravity=st.booleans())
+def test_potential_hessian_is_the_symmetric_force_derivative(triaxial, placement, self_gravity):
+    mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
+    state = _state(triaxial, placement)
+    try:
+        H = potential_hessian(triaxial, state.q, mat)
+    except SingularConfigurationError:
+        assume(False)
+    assert np.linalg.norm(H - H.T) <= 1e-12 * np.linalg.norm(H)
+
+    def grad(q):
+        return -conservative_force(triaxial, es.DeformationState(q, state.qdot), mat)
+
+    h = 1e-5
+    H_fd = np.column_stack([(grad(state.q + h * e) - grad(state.q - h * e)) / (2 * h)
+                            for e in np.eye(state.q.size)])
+    assert np.linalg.norm(H - H_fd) <= 1e-7 * np.linalg.norm(H)
