@@ -171,15 +171,15 @@ class ReferenceBody:
         return np.trace(J) * np.eye(3) - J
 
     def node_positions(self, q: np.ndarray) -> np.ndarray:
-        """Images zeta(x_q) of all quadrature nodes, shape (nq, 3)."""
-        return self.P @ q.reshape(-1, 3)
+        """Images zeta(x_q) of all quadrature nodes, shape (..., nq, 3) for q (..., 3N)."""
+        return self.P @ _rows(q)
 
     def node_gradients(self, q: np.ndarray) -> np.ndarray:
-        """Deformation gradients Dzeta(x_q) at the full-rule nodes, shape (nq, 3, 3)."""
+        """Deformation gradients Dzeta(x_q) at the full-rule nodes, shape (..., nq, 3, 3)."""
         return _gradients(self.Gm, q)
 
     def stress_gradients(self, q: np.ndarray) -> np.ndarray:
-        """Deformation gradients Dzeta(x_s) at the stress-rule nodes, shape (ns, 3, 3)."""
+        """Deformation gradients Dzeta(x_s) at the stress-rule nodes, shape (..., ns, 3, 3)."""
         return _gradients(self.stress_Gm, q)
 
     def stress_divergence(self, P: np.ndarray) -> np.ndarray:
@@ -192,8 +192,8 @@ class ReferenceBody:
         return np.einsum("s,...sij,sja->...ai", self.stress_weights, P, self.stress_Gm)
 
     def barycenter(self, q: np.ndarray) -> np.ndarray:
-        """Mass center of the deformed body (exact for polynomial maps)."""
-        return (self.mu_vec @ q.reshape(-1, 3)) / self.mass
+        """Mass center of the deformed body (exact for polynomial maps), shape (..., 3)."""
+        return (self.mu_vec @ _rows(q)) / self.mass
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs with the prefactored mass matrix."""
@@ -201,22 +201,28 @@ class ReferenceBody:
 
 
 def det3(F: np.ndarray) -> np.ndarray:
-    """Determinants of a stack of 3x3 matrices F (n, 3, 3), by cofactor expansion."""
+    """Determinants of 3x3 matrices F (..., 3, 3), by cofactor expansion, shape (...)."""
     return (
-        F[:, 0, 0] * (F[:, 1, 1] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 1])
-        - F[:, 0, 1] * (F[:, 1, 0] * F[:, 2, 2] - F[:, 1, 2] * F[:, 2, 0])
-        + F[:, 0, 2] * (F[:, 1, 0] * F[:, 2, 1] - F[:, 1, 1] * F[:, 2, 0])
+        F[..., 0, 0] * (F[..., 1, 1] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 1])
+        - F[..., 0, 1] * (F[..., 1, 0] * F[..., 2, 2] - F[..., 1, 2] * F[..., 2, 0])
+        + F[..., 0, 2] * (F[..., 1, 0] * F[..., 2, 1] - F[..., 1, 1] * F[..., 2, 0])
     )
 
 
-def _gradients(Gm: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Deformation gradients at every node of a gradient table Gm (n, 3, nm), shape (n, 3, 3).
+def _rows(q: np.ndarray) -> np.ndarray:
+    """Coefficient vectors (..., 3N) as monomial rows (..., N, 3)."""
+    return q.reshape(*q.shape[:-1], -1, 3)
 
-    F_n[i, j] = sum_a A[a, i] d_j m_a(x_n) with A = q.reshape(-1, 3): one
-    BLAS product, in which row (n, j) of Gm times A is column j of F_n.
+
+def _gradients(Gm: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Deformation gradients at every node of a gradient table Gm (n, 3, nm), shape (..., n, 3, 3).
+
+    F_n[i, j] = sum_a A[a, i] d_j m_a(x_n) with A = _rows(q): one BLAS
+    product per state, in which row (n, j) of Gm times A is column j of F_n.
     """
-    A = q.reshape(-1, 3)
-    return (Gm.reshape(-1, A.shape[0]) @ A).reshape(-1, 3, 3).transpose(0, 2, 1)
+    A = _rows(q)
+    F = (Gm.reshape(-1, A.shape[-2]) @ A).reshape(*A.shape[:-2], -1, 3, 3)
+    return np.swapaxes(F, -1, -2)
 
 
 @dataclass
@@ -224,7 +230,8 @@ class DeformationState:
     """Galerkin coefficients of the map zeta and its velocity.
 
     zeta(x) = sum_k q[k] phi_k(x) and likewise for qdot; momenta are
-    p = M qdot. Layout is component-fastest (see DeformationBasis).
+    p = M qdot. Layout is component-fastest (see DeformationBasis). q and
+    qdot have equal shape (..., 3N); leading axes hold a stack of states.
     """
 
     q: np.ndarray
@@ -233,8 +240,8 @@ class DeformationState:
     def __post_init__(self):
         self.q = np.asarray(self.q, dtype=float)
         self.qdot = np.asarray(self.qdot, dtype=float)
-        if self.q.shape != self.qdot.shape or self.q.ndim != 1:
-            raise InvalidParameterError("q and qdot must be equal-length 1-D arrays")
+        if self.q.shape != self.qdot.shape or self.q.ndim == 0:
+            raise InvalidParameterError("q and qdot must be arrays of equal shape (..., 3N)")
 
     def copy(self) -> "DeformationState":
         return DeformationState(self.q.copy(), self.qdot.copy())
@@ -376,7 +383,8 @@ def skew(v) -> np.ndarray:
 def require_regular(body: ReferenceBody, state: DeformationState, impact_radius: float = 0.0):
     """Raise unless det(Dzeta) > 0 at every node and no node is at/inside the impact radius.
 
-    Returns (node positions, node gradients) so callers can reuse them.
+    A stack of states passes only if every one of them does. Returns (node
+    positions, node gradients) so callers can reuse them.
     """
     Z = body.node_positions(state.q)
     F = body.node_gradients(state.q)
@@ -385,7 +393,7 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
         raise SingularConfigurationError(
             f"det(Dzeta) <= 0 at {int(np.sum(dets <= 0.0))} quadrature node(s)"
         )
-    dmin = float(np.sqrt(np.min(np.einsum("qi,qi->q", Z, Z))))
+    dmin = float(np.sqrt(np.min(np.einsum("...i,...i->...", Z, Z))))
     if dmin <= impact_radius:
         raise ImpactProximityError(
             f"material point at distance {dmin:.3e} <= impact radius {impact_radius:.3e}"

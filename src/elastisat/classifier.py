@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from .body_model import DeformationState, ReferenceBody, skew
-from .dynamics import Trajectory
+from .dynamics import Trajectory, row_norms
 from .energetics import MaterialParams
 from .equilibria import RelativeEquilibrium, solve_relative_equilibrium
 from .errors import (
@@ -139,8 +139,7 @@ def capture_metrics(
     if n < 8:
         raise InsufficientDataError(f"only {n} samples in the assessment window")
     times = trajectory_tail.times
-    gaps = [abs(np.linalg.norm(w_s) - np.linalg.norm(w_o))
-            for w_s, w_o in zip(trajectory_tail.omega_spin, trajectory_tail.omega_orbit)]
+    gaps = np.abs(row_norms(trajectory_tail.omega_spin) - row_norms(trajectory_tail.omega_orbit))
     # planet position in the comoving frame is -Y, so its rate is |dY/dt|
     rates = np.linalg.norm(np.diff(trajectory_tail.Y, axis=0), axis=1) / np.diff(times)
 
@@ -164,7 +163,7 @@ def windowed_dissipation(trajectory: Trajectory, window: float) -> np.ndarray:
     zero as the trajectory settles onto the non-dissipating manifold.
     """
     t = trajectory.times
-    diss = np.abs(np.array([m.dissipation_rate for m in trajectory.monitors]))
+    diss = np.abs(trajectory.monitors.dissipation_rate)
     n_windows = int(np.floor((t[-1] - t[0]) / window))
     if n_windows < 1:
         raise InsufficientDataError("trajectory shorter than one window")
@@ -253,7 +252,7 @@ def classify_outcome(
             term,
         )
 
-    L0 = trajectory.monitors[-1].L
+    L0 = trajectory.monitors.L[-1]
     try:
         eq = solve_relative_equilibrium(
             body, material, L0, state0=trajectory.final_state,

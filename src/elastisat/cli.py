@@ -115,8 +115,7 @@ def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
     )
 
     mons = trajectory.monitors
-    H = np.array([m.H for m in mons])
-    L = np.array([m.L for m in mons])
+    H, L = mons.H, mons.L
     steps = np.diff(H)
     result = {
         "name": scenario.name,
@@ -134,9 +133,9 @@ def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
         "t_final": float(trajectory.times[-1]),
         "counters": {"nfev": trajectory.nfev, "njev": trajectory.njev},
         "final": {
-            "K": mons[-1].K, "U_g": mons[-1].U_g, "U_sg": mons[-1].U_sg,
-            "U_e": mons[-1].U_e, "H": mons[-1].H, "L": mons[-1].L,
-            "diss_rate": mons[-1].dissipation_rate,
+            "K": mons.K[-1], "U_g": mons.U_g[-1], "U_sg": mons.U_sg[-1],
+            "U_e": mons.U_e[-1], "H": H[-1], "L": L[-1],
+            "diss_rate": mons.dissipation_rate[-1],
         },
         "audit": {
             "H_drop": float(H[0] - H[-1]),

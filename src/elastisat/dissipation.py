@@ -12,6 +12,8 @@ the force exerts no net torque, so angular momentum is untouched. The
 force and the rate are both integrated on the body's stress rule, which
 is exact for these polynomial densities; the rigidity gauge
 max_cauchy_green_rate is a pointwise check and scans the full-rule nodes.
+Both monitors, like cauchy_green_rate itself, take a stack of states (or
+of gradients) along leading axes and return one value per state.
 """
 
 from __future__ import annotations
@@ -36,20 +38,14 @@ class ViscosityParams:
 
 
 def cauchy_green_rate(F, Fdot) -> np.ndarray:
-    """Cdot = Fdot^T F + F^T Fdot; zero exactly for rigid instantaneous motion."""
-    F = np.asarray(F, dtype=float)
-    Fdot = np.asarray(Fdot, dtype=float)
-    return Fdot.T @ F + F.T @ Fdot
-
-
-def _cauchy_green_rate_nodes(F, Fdot):
-    FtFd = np.matmul(np.swapaxes(F, 1, 2), Fdot)
-    return FtFd + np.swapaxes(FtFd, 1, 2)
+    """Cdot = Fdot^T F + F^T Fdot for F, Fdot (..., 3, 3); zero exactly for rigid motion."""
+    FtFd = np.matmul(np.swapaxes(F, -1, -2), Fdot)
+    return FtFd + np.swapaxes(FtFd, -1, -2)
 
 
 def viscous_first_piola(F, Fdot, eta: float) -> np.ndarray:
-    """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (n, 3, 3)."""
-    return eta * np.matmul(F, _cauchy_green_rate_nodes(F, Fdot))
+    """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (..., 3, 3)."""
+    return eta * np.matmul(F, cauchy_green_rate(F, Fdot))
 
 
 def viscous_force(
@@ -67,22 +63,22 @@ def viscous_force(
     return body.stress_divergence(viscous_first_piola(F, Fdot, params.eta)).reshape(-1)
 
 
+def _squared_rate(state: DeformationState, gradients) -> np.ndarray:
+    """|Cdot|^2 at the nodes of a body's gradient routine, shape (..., n)."""
+    Cdot = cauchy_green_rate(gradients(state.q), gradients(state.qdot))
+    return np.einsum("...ij,...ij->...", Cdot, Cdot)
+
+
 def dissipation_rate(
     body: ReferenceBody, state: DeformationState, params: ViscosityParams
-) -> float:
+) -> float | np.ndarray:
     """Hdot = -(eta/2) * stress-rule quadrature of |Cdot|^2 (exact); always <= 0."""
     if params.eta == 0.0:
-        return 0.0
-    F = body.stress_gradients(state.q)
-    Fdot = body.stress_gradients(state.qdot)
-    Cdot = _cauchy_green_rate_nodes(F, Fdot)
-    density = np.einsum("qij,qij->q", Cdot, Cdot)
-    return float(-0.5 * params.eta * np.dot(body.stress_weights, density))
+        return np.zeros(state.q.shape[:-1])[()]
+    density = _squared_rate(state, body.stress_gradients)
+    return -0.5 * params.eta * np.vecdot(density, body.stress_weights)
 
 
-def max_cauchy_green_rate(body: ReferenceBody, state: DeformationState) -> float:
+def max_cauchy_green_rate(body: ReferenceBody, state: DeformationState) -> float | np.ndarray:
     """Largest Frobenius norm of Cdot over the full-rule nodes (rigidity gauge)."""
-    F = body.node_gradients(state.q)
-    Fdot = body.node_gradients(state.qdot)
-    Cdot = _cauchy_green_rate_nodes(F, Fdot)
-    return float(np.sqrt(np.max(np.einsum("qij,qij->q", Cdot, Cdot))))
+    return np.sqrt(np.max(_squared_rate(state, body.node_gradients), axis=-1))

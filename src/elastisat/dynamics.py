@@ -4,21 +4,23 @@ The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
 matrix M prefactored once. f - g comes from energetics.generalized_force,
 the one force kernel: f is the exact gradient force of the conservative
 potentials and g the viscous force. solve_ivp integrates it; termination
-is event-based (impact, escape ceiling, loss of regularity). Trajectories
-carry one record per sample: energy monitors, the rigidity diagnostic, and
+is event-based (impact, escape ceiling, loss of regularity; the singular
+event state itself has no monitors and is not recorded). Trajectories are
+columnar, one row per sample: energy monitors, the rigidity diagnostic, and
 the spin, orbital rate and comoving planet offset the classifier reads.
+They are built in one pass, each monitor evaluated on the stack of states.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
 from .body_model import DeformationState, ReferenceBody, det3, require_regular
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
-from .energetics import MaterialParams, energy_breakdown, EnergyBreakdown, generalized_force
+from .energetics import EnergyBreakdown, MaterialParams, energy_breakdown, generalized_force
 from .errors import InvalidParameterError
 
 MONITOR_COLUMNS = (
@@ -38,6 +40,7 @@ class IntegratorSettings:
     impact_radius: terminate when any material point gets this close to
         the planet; escape_radius: hard ceiling on the barycenter distance
         that stops runaway runs (classification happens downstream).
+        max_step and impact_radius are positive, escape_radius is larger.
     """
 
     method: str = "dop853"
@@ -58,6 +61,12 @@ class IntegratorSettings:
             raise InvalidParameterError("t_end must be positive")
         if self.record_every is not None and self.record_every <= 0:
             raise InvalidParameterError("record_every must be positive")
+        if not self.max_step > 0:
+            raise InvalidParameterError("max_step must be positive")
+        if not self.impact_radius > 0:
+            raise InvalidParameterError("impact_radius must be positive")
+        if not self.escape_radius > self.impact_radius:
+            raise InvalidParameterError("escape_radius must exceed impact_radius")
 
     @property
     def sample_interval(self) -> float:
@@ -66,20 +75,21 @@ class IntegratorSettings:
 
 @dataclass
 class Trajectory:
-    """Recorded integration output: one record per sample, and the termination.
+    """Recorded integration output, one column per quantity, and the termination.
 
-    Each sample i holds the state (q_history[i], qdot_history[i]), its
-    energy monitors, the sup-node Cauchy-Green rate cdot_max[i], the
-    comoving planet offset Y[i] of comoving_decomposition, and the spin
-    and orbital angular velocities omega_spin[i], omega_orbit[i] of
-    instantaneous_spin.  nfev and njev count solve_ivp's right-hand-side
-    and Jacobian evaluations over the whole run.
+    Row i of every array is sample i: the state (q_history[i],
+    qdot_history[i]), the energy monitors (monitors is one EnergyBreakdown
+    of (n,) columns and an (n, 3) L), the sup-node Cauchy-Green rate
+    cdot_max[i], the comoving planet offset Y[i] of comoving_decomposition,
+    and the spin and orbital angular velocities omega_spin[i],
+    omega_orbit[i] of instantaneous_spin.  nfev and njev count solve_ivp's
+    right-hand-side and Jacobian evaluations over the whole run.
     """
 
     times: np.ndarray
     q_history: np.ndarray        # (n, 3N)
     qdot_history: np.ndarray     # (n, 3N)
-    monitors: list[EnergyBreakdown]
+    monitors: EnergyBreakdown    # (n,) columns, L (n, 3)
     cdot_max: np.ndarray         # (n,)
     Y: np.ndarray                # (n, 3)
     omega_spin: np.ndarray       # (n, 3)
@@ -101,34 +111,32 @@ class Trajectory:
 
     def tail(self, t_from: float) -> "Trajectory":
         """Sub-trajectory with times >= t_from (shared termination tag)."""
-        keep = self.times >= t_from
-        idx = np.nonzero(keep)[0]
-        return Trajectory(
-            times=self.times[idx],
-            q_history=self.q_history[idx],
-            qdot_history=self.qdot_history[idx],
-            monitors=[self.monitors[i] for i in idx],
-            cdot_max=self.cdot_max[idx],
-            Y=self.Y[idx],
-            omega_spin=self.omega_spin[idx],
-            omega_orbit=self.omega_orbit[idx],
-            termination=self.termination,
-            termination_reason=self.termination_reason,
-            nfev=self.nfev,
-            njev=self.njev,
-        )
+        return _take_rows(self, np.nonzero(self.times >= t_from)[0])
 
     def monitor_rows(self) -> np.ndarray:
         """Monitor table in the frozen MONITOR_COLUMNS order, shape (n, 13)."""
-        rows = np.empty((len(self.times), len(MONITOR_COLUMNS)))
-        for i, (t, mon) in enumerate(zip(self.times, self.monitors)):
-            # one norm per vector: np.linalg.norm(X, axis=1) can differ in the last bit
-            rows[i] = (
-                t, mon.K, mon.U_g, mon.U_sg, mon.U_e, mon.H,
-                mon.L[0], mon.L[1], mon.L[2], mon.dissipation_rate,
-                self.cdot_max[i], np.linalg.norm(self.Y[i]), np.linalg.norm(self.omega_spin[i]),
-            )
-        return rows
+        mon = self.monitors
+        return np.column_stack([
+            self.times, mon.K, mon.U_g, mon.U_sg, mon.U_e, mon.H, mon.L, mon.dissipation_rate,
+            self.cdot_max, row_norms(self.Y), row_norms(self.omega_spin),
+        ])
+
+
+def row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of X (n, 3), equal to np.linalg.norm of each row alone."""
+    return np.sqrt(np.vecdot(X, X))
+
+
+def _take_rows(record, idx):
+    """Copy of a columnar record with the rows idx of every array, nested records included."""
+    rows = {}
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, np.ndarray):
+            rows[f.name] = value[idx]
+        elif is_dataclass(value):
+            rows[f.name] = _take_rows(value, idx)
+    return replace(record, **rows)
 
 
 def _accel(body, q, qdot, material, viscosity):
@@ -155,23 +163,23 @@ def equations_of_motion(
 def instantaneous_spin(body: ReferenceBody, state: DeformationState):
     """Best-fit rigid angular velocity about the barycenter and the orbital rate.
 
-    Returns (omega_spin, omega_orbit): omega_spin solves the weighted
-    least-squares fit zetadot ~ cdot + omega x (zeta - c) over the nodes;
-    omega_orbit = c x cdot / |c|^2.
+    Returns (omega_spin, omega_orbit), each (..., 3) for a state of leading
+    shape (...): omega_spin solves the weighted least-squares fit
+    zetadot ~ cdot + omega x (zeta - c) over the nodes; omega_orbit =
+    c x cdot / |c|^2 (zero where c = 0).
     """
-    Z = body.node_positions(state.q)
-    Zd = body.node_positions(state.qdot)
     m = body.density * body.weights
     c = body.barycenter(state.q)
     cd = body.barycenter(state.qdot)
-    rel = Z - c
-    reld = Zd - cd
-    L_c = np.einsum("q,qi->i", m, np.cross(rel, reld))
-    r2 = np.einsum("qi,qi->q", rel, rel)
-    I_c = np.einsum("q,ij->ij", m * r2, np.eye(3)) - np.einsum("q,qi,qj->ij", m, rel, rel)
-    omega_spin = np.linalg.solve(I_c, L_c)
-    c2 = float(np.dot(c, c))
-    omega_orbit = np.cross(c, cd) / c2 if c2 > 0 else np.zeros(3)
+    rel = body.node_positions(state.q) - c[..., None, :]
+    reld = body.node_positions(state.qdot) - cd[..., None, :]
+    L_c = np.einsum("q,...qi->...i", m, np.cross(rel, reld))
+    r2 = np.einsum("...qi,...qi->...q", rel, rel)
+    I_c = (np.einsum("...q,ij->...ij", m * r2, np.eye(3))
+           - np.einsum("q,...qi,...qj->...ij", m, rel, rel))
+    omega_spin = np.linalg.solve(I_c, L_c[..., None])[..., 0]
+    c2 = np.vecdot(c, c)[..., None]
+    omega_orbit = np.divide(np.cross(c, cd), c2, out=np.zeros_like(c), where=c2 > 0)
     return omega_spin, omega_orbit
 
 
@@ -181,56 +189,42 @@ def comoving_decomposition(body: ReferenceBody, state: DeformationState):
     Fits the quadrature-node images against the reference nodes; returns
     (R in SO(3), Y, xi_residual) with xi_residual the mass-weighted RMS
     misfit (zero exactly for rigid placements of the reference shape).
+    A state of leading shape (...) gives R (..., 3, 3), Y (..., 3) and
+    xi_residual (...), from one batched SVD.
     """
     Z, _ = require_regular(body, state)
     m = body.density * body.weights
-    total = float(np.sum(m))
     xbar = body.first_moment / body.mass
     zbar = body.barycenter(state.q)
-    Xc = body.nodes - xbar
-    Zc = Z - zbar
-    Hcorr = (m[:, None] * Xc).T @ Zc
+    Hcorr = (m[:, None] * (body.nodes - xbar)).T @ (Z - zbar[..., None, :])
     U, _, Vt = np.linalg.svd(Hcorr)
-    d = np.sign(np.linalg.det(Vt.T @ U.T))
-    R = Vt.T @ np.diag([1.0, 1.0, d]) @ U.T
+    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    # reflect the last singular direction where the best orthogonal fit is improper
+    flip = np.ones(Hcorr.shape[:-1])
+    flip[..., 2] = np.sign(det3(V @ Ut))
+    R = (V * flip[..., None, :]) @ Ut
     t = zbar - R @ xbar
-    Y = R.T @ t
-    misfit = Z - (body.nodes @ R.T + t)
-    residual = float(np.sqrt(np.einsum("q,qi,qi->", m, misfit, misfit) / total))
+    Y = (np.swapaxes(R, -1, -2) @ t[..., None])[..., 0]
+    misfit = Z - (body.nodes @ np.swapaxes(R, -1, -2) + t[..., None, :])
+    residual = np.sqrt(np.einsum("q,...qi,...qi->...", m, misfit, misfit) / np.sum(m))
     return R, Y, residual
-
-
-def _monitor_sample(body, state, material, viscosity):
-    mon = energy_breakdown(
-        body, state, material,
-        dissipation_rate=dissipation_rate(body, state, viscosity),
-    )
-    cdot = max_cauchy_green_rate(body, state)
-    _, Y, _ = comoving_decomposition(body, state)
-    omega_spin, omega_orbit = instantaneous_spin(body, state)
-    return mon, cdot, Y, omega_spin, omega_orbit
 
 
 def _build_trajectory(body, times, states, material, viscosity, termination, reason,
                       nfev, njev):
-    """The per-sample record of states (n, 2 * 3N) recorded at times."""
-    n = len(times)
+    """The columnar record of states (n, 2 * 3N) recorded at times, one call per quantity."""
     nq = states.shape[1] // 2
-    monitors, cdots = [], np.empty(n)
-    Y, omega_spin, omega_orbit = np.empty((n, 3)), np.empty((n, 3)), np.empty((n, 3))
-    for i in range(n):
-        st = DeformationState(states[i, :nq], states[i, nq:])
-        mon, cdots[i], Y[i], omega_spin[i], omega_orbit[i] = _monitor_sample(
-            body, st, material, viscosity
-        )
-        monitors.append(mon)
+    st = DeformationState(states[:, :nq].copy(), states[:, nq:].copy())
+    omega_spin, omega_orbit = instantaneous_spin(body, st)
     return Trajectory(
         times=np.asarray(times, dtype=float),
-        q_history=states[:, :nq].copy(),
-        qdot_history=states[:, nq:].copy(),
-        monitors=monitors,
-        cdot_max=cdots,
-        Y=Y,
+        q_history=st.q,
+        qdot_history=st.qdot,
+        monitors=energy_breakdown(
+            body, st, material, dissipation_rate=dissipation_rate(body, st, viscosity)
+        ),
+        cdot_max=max_cauchy_green_rate(body, st),
+        Y=comoving_decomposition(body, st)[1],
         omega_spin=omega_spin,
         omega_orbit=omega_orbit,
         termination=termination,
@@ -252,7 +246,9 @@ def integrate(
     Stops early with the matching termination tag when a material point
     reaches the impact radius, the barycenter crosses the escape ceiling,
     or the configuration loses regularity (det Dzeta -> 0, mapped to
-    step-failure since the model cannot be continued through it).
+    step-failure since the model cannot be continued through it). Impact
+    and escape append the event state as the last sample; a singular
+    event records only its time, in termination_reason.
     """
     require_regular(body, state0, settings.impact_radius)
     nq = body.n_modes
@@ -302,7 +298,9 @@ def integrate(
         which = next(i for i, te in enumerate(sol.t_events) if len(te) > 0)
         termination, reason = tags[which], reasons[which]
         t_ev = sol.t_events[which][0]
-        if not times or times[-1] < t_ev:
+        if termination == "step-failure":
+            reason += f" at t = {t_ev:.6g}"
+        elif not times or times[-1] < t_ev:
             times.append(t_ev)
             states.append(sol.y_events[which][0])
     elif sol.status == 0:

@@ -9,11 +9,14 @@ system is exactly Hamiltonian when dissipation is off.
 
 Stored energy is Saint Venant-Kirchhoff,
 
-    W(F) = (1/eps) * [ (lam/2) (tr E)^2 + mu tr(E^2) ],   E = (F^T F - I)/2,
+    W(F) = (1/eps) * [ (lam/2) (tr E)^2 + mu tr(E^2) ] = S(E) : E / 2,
 
-a function of the Cauchy-Green tensor only, hence frame-indifferent by
-construction. The 1/eps factor is the stiffness scale: smaller eps means a
-stiffer body.
+with E = (F^T F - I)/2 and S the second Piola stress, a function of the
+Cauchy-Green tensor only, hence frame-indifferent by construction. The
+1/eps factor is the stiffness scale: smaller eps means a stiffer body.
+One Green-strain and one S(E) routine feed the energy, its stress and
+the stress tangent. The energy and momentum monitors take a stack of
+states along leading axes and return one value per state.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .body_model import DeformationState, ReferenceBody, require_regular
+from .body_model import DeformationState, ReferenceBody, _rows, det3, require_regular
 from .dissipation import viscous_first_piola
 from .errors import InvalidParameterError, SingularConfigurationError
 
@@ -65,36 +68,25 @@ class MaterialParams:
 
 @dataclass
 class EnergyBreakdown:
-    """Energies, total, angular momentum, and dissipation rate at one instant."""
+    """Energies, total, angular momentum, and dissipation rate.
 
-    K: float
-    U_g: float
-    U_sg: float
-    U_e: float
-    H: float
+    Each field carries the leading axes of the state it was evaluated on:
+    scalars (and L of shape (3,)) for one state, columns of shape (n,)
+    (and L of shape (n, 3)) for a stack of n states.
+    """
+
+    K: float | np.ndarray
+    U_g: float | np.ndarray
+    U_sg: float | np.ndarray
+    U_e: float | np.ndarray
+    H: float | np.ndarray
     L: np.ndarray
-    dissipation_rate: float = 0.0
-
-    @classmethod
-    def assemble(cls, K, U_g, U_sg, U_e, L, dissipation_rate=0.0):
-        return cls(K=K, U_g=U_g, U_sg=U_sg, U_e=U_e, H=K + U_g + U_sg + U_e,
-                   L=np.asarray(L, dtype=float), dissipation_rate=dissipation_rate)
+    dissipation_rate: float | np.ndarray = 0.0
 
 
-def cauchy_green(F) -> np.ndarray:
-    """Right Cauchy-Green tensor C = F^T F."""
-    F = np.asarray(F, dtype=float)
-    return F.T @ F
-
-
-def stored_energy_density(x, F, params: MaterialParams) -> float:
-    """Saint Venant-Kirchhoff stored energy density W(x, F); requires det F > 0."""
-    F = np.asarray(F, dtype=float)
-    if np.linalg.det(F) <= 0.0:
-        raise SingularConfigurationError("stored energy requires det F > 0")
-    E = 0.5 * (cauchy_green(F) - _I3)
-    tr = np.trace(E)
-    return (0.5 * params.lam * tr * tr + params.mu * np.sum(E * E)) / params.epsilon
+def _green_strain(F) -> np.ndarray:
+    """E = (F^T F - I)/2 for F of shape (..., 3, 3)."""
+    return 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
 
 
 def _second_piola(E, params: MaterialParams) -> np.ndarray:
@@ -103,10 +95,23 @@ def _second_piola(E, params: MaterialParams) -> np.ndarray:
     return (params.lam * trE[..., None, None] * _I3 + 2.0 * params.mu * E) / params.epsilon
 
 
+def _stored_energy(F, params: MaterialParams) -> np.ndarray:
+    """W(F) = S(E) : E / 2 for F of shape (..., 3, 3), shape (...)."""
+    E = _green_strain(F)
+    return 0.5 * np.einsum("...ij,...ij->...", _second_piola(E, params), E)
+
+
+def stored_energy_density(x, F, params: MaterialParams) -> float:
+    """Saint Venant-Kirchhoff stored energy density W(x, F); requires det F > 0."""
+    F = np.asarray(F, dtype=float)
+    if not det3(F) > 0.0:
+        raise SingularConfigurationError("stored energy requires det F > 0")
+    return float(_stored_energy(F, params))
+
+
 def first_piola(F, params: MaterialParams) -> np.ndarray:
     """dW/dF = F S for F of shape (..., 3, 3), S = (lam tr E I + 2 mu E)/eps."""
-    E = 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
-    return np.matmul(F, _second_piola(E, params))
+    return np.matmul(F, _second_piola(_green_strain(F), params))
 
 
 def _first_piola_tangent(F, dF, params: MaterialParams) -> np.ndarray:
@@ -114,28 +119,22 @@ def _first_piola_tangent(F, dF, params: MaterialParams) -> np.ndarray:
 
     F has shape (..., 3, 3) and dF broadcasts against it.
     """
-    E = 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
     FtdF = np.matmul(np.swapaxes(F, -1, -2), dF)
     dE = 0.5 * (FtdF + np.swapaxes(FtdF, -1, -2))
-    return np.matmul(dF, _second_piola(E, params)) + np.matmul(F, _second_piola(dE, params))
+    return (np.matmul(dF, _second_piola(_green_strain(F), params))
+            + np.matmul(F, _second_piola(dE, params)))
 
 
 def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
     """Kirchhoff stress tau[i,j] = F[i,a] dW/dF[j,a]; symmetric by frame indifference."""
     F = np.asarray(F, dtype=float)
-    if np.linalg.det(F) <= 0.0:
+    if not det3(F) > 0.0:
         raise SingularConfigurationError("Kirchhoff stress requires det F > 0")
     tau = F @ first_piola(F, params).T
     norm = np.linalg.norm(tau)
     if norm > 0 and np.linalg.norm(tau - tau.T) > 1e-12 * norm:
         raise AssertionError("Kirchhoff stress lost symmetry")
     return tau
-
-
-def _stored_energy_nodes(F, params: MaterialParams):
-    E = 0.5 * (np.einsum("qki,qkj->qij", F, F) - _I3)
-    tr = np.trace(E, axis1=1, axis2=2)
-    return (0.5 * params.lam * tr**2 + params.mu * np.einsum("qij,qij->q", E, E)) / params.epsilon
 
 
 def _softened_inverse_distances(Z, softening):
@@ -152,46 +151,52 @@ def _softened_inverse_distances(Z, softening):
 def gravitational_energy(
     body: ReferenceBody, state: DeformationState, params: MaterialParams,
     impact_radius: float = 0.0,
-) -> float:
+) -> float | np.ndarray:
     """U_g = quadrature of -kM rho0 / |zeta(x)| over the body."""
     Z, _ = require_regular(body, state, impact_radius)
-    return float(-params.kM * body.density * np.sum(body.weights / np.linalg.norm(Z, axis=1)))
+    return -params.kM * body.density * np.sum(body.weights / np.linalg.norm(Z, axis=-1), axis=-1)
 
 
 def self_gravity_energy(
     body: ReferenceBody, state: DeformationState, params: MaterialParams
-) -> float:
+) -> float | np.ndarray:
     """Softened double quadrature of -k rho0 rho0' / |zeta(x) - zeta(x')|.
 
     Pairs are double-counted, matching the defining double integral, so the
-    gradient used by conservative_force is consistent with this value.
+    gradient used by conservative_force is consistent with this value. A
+    stack of states is summed one state at a time: its pair tensors would
+    not fit in memory at once.
     """
+    lead = state.q.shape[:-1]
     if params.self_gravity_k == 0.0:
-        return 0.0
-    Z = body.node_positions(state.q)
+        return np.zeros(lead)[()]
     m = body.density * body.weights
-    inv, _ = _softened_inverse_distances(Z, params.softening)
-    return float(-params.self_gravity_k * np.einsum("q,p,qp->", m, m, inv))
+    energies = []
+    for q in state.q.reshape(-1, state.q.shape[-1]):
+        inv, _ = _softened_inverse_distances(body.node_positions(q), params.softening)
+        energies.append(-params.self_gravity_k * np.einsum("q,p,qp->", m, m, inv))
+    return np.reshape(energies, lead)[()]
 
 
-def elastic_energy(body: ReferenceBody, state: DeformationState, params: MaterialParams) -> float:
+def elastic_energy(
+    body: ReferenceBody, state: DeformationState, params: MaterialParams
+) -> float | np.ndarray:
     """U_e = stress-rule quadrature of the stored energy density (exact)."""
-    F = body.stress_gradients(state.q)
-    return float(np.dot(body.stress_weights, _stored_energy_nodes(F, params)))
+    return np.vecdot(_stored_energy(body.stress_gradients(state.q), params), body.stress_weights)
 
 
-def kinetic_energy(body: ReferenceBody, state: DeformationState) -> float:
+def kinetic_energy(body: ReferenceBody, state: DeformationState) -> float | np.ndarray:
     """K = (1/2) qdot^T M qdot via the scalar Gram matrix."""
-    Adot = state.qdot.reshape(-1, 3)
-    return float(0.5 * np.einsum("ab,ai,bi->", body.S, Adot, Adot))
+    Adot = _rows(state.qdot)
+    return 0.5 * np.einsum("ab,...ai,...bi->...", body.S, Adot, Adot)
 
 
 def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray:
-    """L = integral of zeta x rho0 zetadot; exact for polynomial states."""
-    A = state.q.reshape(-1, 3)
-    Adot = state.qdot.reshape(-1, 3)
-    cross = np.cross(A[:, None, :], Adot[None, :, :])
-    return np.einsum("ab,abi->i", body.S, cross)
+    """L = integral of zeta x rho0 zetadot, shape (..., 3); exact for polynomial states."""
+    A = _rows(state.q)
+    Adot = _rows(state.qdot)
+    cross = np.cross(A[..., :, None, :], Adot[..., None, :, :])
+    return np.einsum("ab,...abi->...i", body.S, cross)
 
 
 def generalized_force(
@@ -298,14 +303,12 @@ def gravity_third_derivatives(Y, kM: float):
 
 def energy_breakdown(
     body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    dissipation_rate: float = 0.0, impact_radius: float = 0.0,
+    dissipation_rate: float | np.ndarray = 0.0, impact_radius: float = 0.0,
 ) -> EnergyBreakdown:
-    """All conservative monitors at one instant (dissipation rate supplied by caller)."""
-    return EnergyBreakdown.assemble(
-        K=kinetic_energy(body, state),
-        U_g=gravitational_energy(body, state, params, impact_radius),
-        U_sg=self_gravity_energy(body, state, params),
-        U_e=elastic_energy(body, state, params),
-        L=angular_momentum(body, state),
-        dissipation_rate=dissipation_rate,
-    )
+    """All conservative monitors of one state or a stack (dissipation rate supplied by caller)."""
+    K = kinetic_energy(body, state)
+    U_g = gravitational_energy(body, state, params, impact_radius)
+    U_sg = self_gravity_energy(body, state, params)
+    U_e = elastic_energy(body, state, params)
+    return EnergyBreakdown(K=K, U_g=U_g, U_sg=U_sg, U_e=U_e, H=K + U_g + U_sg + U_e,
+                           L=angular_momentum(body, state), dissipation_rate=dissipation_rate)

@@ -54,12 +54,6 @@ def equilibrium_velocity(body: ReferenceBody, q: np.ndarray, omega) -> np.ndarra
     return (A @ skew(omega).T).reshape(-1)
 
 
-def potential_gradient(body: ReferenceBody, material: MaterialParams, q: np.ndarray) -> np.ndarray:
-    """grad_q of the total potential (gravity + elastic + self-gravity)."""
-    state = DeformationState(np.asarray(q, dtype=float), np.zeros_like(q))
-    return -conservative_force(body, state, material)
-
-
 def augmented_hamiltonian(
     body: ReferenceBody,
     state: DeformationState,
@@ -84,7 +78,8 @@ def equilibrium_residual(
     omega = np.asarray(omega, dtype=float)
     A = q.reshape(-1, 3)
     W = skew(omega)
-    res_q = potential_gradient(body, material, q) + (body.S @ A @ (W @ W)).reshape(-1)
+    grad_U = -conservative_force(body, DeformationState(q, np.zeros_like(q)), material)
+    res_q = grad_U + (body.S @ A @ (W @ W)).reshape(-1)
     v = equilibrium_velocity(body, q, omega)
     res_L = angular_momentum(body, DeformationState(q, v)) - np.asarray(L0, dtype=float)
     return np.concatenate([res_q, res_L])

@@ -66,8 +66,7 @@ def test_criterion_01_conservation(sphere):
     )
     settings = es.IntegratorSettings(t_end=10 * T, record_every=T / 20)
     traj = es.integrate(sphere, state0, mat, es.ViscosityParams(0.0), settings)
-    H = np.array([m.H for m in traj.monitors])
-    L = np.array([m.L for m in traj.monitors])
+    H, L = traj.monitors.H, traj.monitors.L
     rel_H = float(np.max(np.abs(H - H[0])) / abs(H[0]))
     rel_L = float(np.max(np.linalg.norm(L - L[0], axis=1)) / np.linalg.norm(L[0]))
 
@@ -212,6 +211,7 @@ def test_criterion_05_stress_symmetry_frame_indifference(triaxial, random_state)
     _report(5, "Kirchhoff stress symmetry and frame indifference", failures)
 
 
+@pytest.mark.slow
 def test_criterion_06_relative_equilibrium(triaxial):
     mat = es.MaterialParams(epsilon=0.1)
     r = 10.0
@@ -279,6 +279,7 @@ def test_criterion_08_nondegeneracy_dichotomy(triaxial, sphere):
     _report(8, "triaxial nondegenerate, sphere degenerate", failures)
 
 
+@pytest.mark.slow
 def test_criterion_09_trichotomy_and_isolation(capture_run):
     failures = []
     for name, expected in (

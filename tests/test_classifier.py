@@ -96,11 +96,10 @@ def test_conservative_eccentric_tides_keep_flexing(triaxial):
 
 def test_windowed_dissipation_on_synthetic_decay():
     times = np.linspace(0.0, 10.0, 2001)
-    monitors = [
-        EnergyBreakdown(K=0.0, U_g=0.0, U_sg=0.0, U_e=0.0, H=0.0,
-                        L=(0.0, 0.0, 1.0), dissipation_rate=-np.exp(-t))
-        for t in times
-    ]
+    zeros = np.zeros(times.size)
+    monitors = EnergyBreakdown(K=zeros, U_g=zeros, U_sg=zeros, U_e=zeros, H=zeros,
+                               L=np.tile([0.0, 0.0, 1.0], (times.size, 1)),
+                               dissipation_rate=-np.exp(-times))
     traj = Trajectory(
         times=times,
         q_history=np.zeros((times.size, 12)),

@@ -105,6 +105,10 @@ def test_config_errors_exit_2(tmp_path):
     cfg = _write(tmp_path / "unknown.yaml", doc)
     assert main(["simulate", "--config", cfg, "--out", out]) == 2
 
+    # a step bound of zero is rejected when the scenario loads, not by the solver
+    cfg = _write(tmp_path / "step.yaml", _orbital_doc(integrator={"max_step": 0.0}))
+    assert main(["simulate", "--config", cfg, "--out", out]) == 2
+
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing, "--out", out]) == 2
 
@@ -119,6 +123,32 @@ def test_config_errors_exit_2(tmp_path):
     }
     cfg = _write(tmp_path / "sweep.yaml", sweep)
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
+
+
+def test_singular_run_is_undetermined_and_keeps_its_regular_samples(tmp_path):
+    # a soft body squeezed along x at rate 3 reaches det(Dzeta) = 0 near t = 1/3;
+    # the singular event state has no monitors, so it is not recorded
+    q = [20.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0]
+    qdot = [0.0, float(np.sqrt(1.0 / 20.0)), 0.0, -3.0] + [0.0] * 8
+    doc = _orbital_doc(
+        material={"epsilon": 50.0},
+        viscosity={"eta": 0.0},
+        integrator={"t_end": 5.0, "record_every": 0.05},
+    )
+    doc["initial"] = {"kind": "explicit", "q": q, "qdot": qdot}
+    cfg = _write(tmp_path / "singular.yaml", doc)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["outcome"] == "Undetermined"
+    assert result["termination"] == "step-failure"
+    assert "singular" in result["termination_reason"]
+    assert " at t = 0.33" in result["termination_reason"]
+    assert result["t_final"] < 0.334
+    with open(out / "monitors.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == result["samples"]
+    assert np.all(np.isfinite(np.array(rows, dtype=float)))
 
 
 def test_failed_runs_exit_3(tmp_path, caplog):

@@ -27,8 +27,7 @@ def test_conservative_run_preserves_energy_and_momentum(triaxial, material):
     settings = es.IntegratorSettings(t_end=2 * T, record_every=T / 32)
     traj = es.integrate(triaxial, state, material, es.ViscosityParams(0.0), settings)
     assert traj.termination == "completed"
-    H = np.array([m.H for m in traj.monitors])
-    L = np.array([m.L for m in traj.monitors])
+    H, L = traj.monitors.H, traj.monitors.L
     assert np.max(np.abs(H - H[0])) < 1e-9 * abs(H[0])
     assert np.max(np.linalg.norm(L - L[0], axis=1)) < 1e-10 * np.linalg.norm(L[0])
 
@@ -38,16 +37,14 @@ def test_viscous_run_dissipates_monotonically(triaxial):
     T = 2 * np.pi * np.sqrt(2.5**3)
     settings = es.IntegratorSettings(t_end=T, record_every=T / 64)
     traj = es.integrate(triaxial, state, EPS3, es.ViscosityParams(0.8), settings)
-    H = np.array([m.H for m in traj.monitors])
-    L = np.array([m.L for m in traj.monitors])
+    H, L = traj.monitors.H, traj.monitors.L
     drops = np.diff(H)
     assert np.all(drops <= 1e-12 * abs(H[0]))
     assert H[-1] < H[0] - 1e-4 * abs(H[0])
     assert np.max(np.linalg.norm(L - L[0], axis=1)) < 1e-10 * np.linalg.norm(L[0])
     # recorded rate is Hdot and never positive; the exact Hdot = -qdot.g
     # balance is checked against quadrature in the acceptance suite
-    rates = np.array([m.dissipation_rate for m in traj.monitors])
-    assert np.all(rates <= 0.0)
+    assert np.all(traj.monitors.dissipation_rate <= 0.0)
 
 
 def test_monitor_rows_match_recomputed_breakdown(triaxial):
@@ -55,25 +52,25 @@ def test_monitor_rows_match_recomputed_breakdown(triaxial):
     settings = es.IntegratorSettings(t_end=5.0, record_every=1.0)
     visc = es.ViscosityParams(0.5)
     traj = es.integrate(triaxial, state, EPS3, visc, settings)
-    i = len(traj) // 2
-    st = traj.state(i)
-    mon = es.energy_breakdown(
-        triaxial, st, EPS3, dissipation_rate=es.dissipation_rate(triaxial, st, visc)
-    )
-    stored = traj.monitors[i]
-    assert stored.H == pytest.approx(mon.H, rel=1e-13)
-    assert stored.K == pytest.approx(mon.K, rel=1e-13)
-    assert np.allclose(stored.L, mon.L, rtol=1e-13)
-    assert stored.dissipation_rate == pytest.approx(mon.dissipation_rate, rel=1e-13)
-    assert traj.cdot_max[i] == pytest.approx(es.max_cauchy_green_rate(triaxial, st), rel=1e-13)
-    _, Y, _ = es.comoving_decomposition(triaxial, st)
-    w_spin, w_orbit = es.instantaneous_spin(triaxial, st)
-    assert np.allclose(traj.Y[i], Y, rtol=1e-13, atol=0.0)
-    assert np.allclose(traj.omega_spin[i], w_spin, rtol=1e-13, atol=0.0)
-    assert np.allclose(traj.omega_orbit[i], w_orbit, rtol=1e-13, atol=0.0)
-    assert traj.monitor_rows()[i, -2:] == pytest.approx(
-        [np.linalg.norm(Y), np.linalg.norm(w_spin)], rel=1e-13
-    )
+    rows = traj.monitor_rows()
+    for i in range(len(traj)):
+        st = traj.state(i)
+        mon = es.energy_breakdown(
+            triaxial, st, EPS3, dissipation_rate=es.dissipation_rate(triaxial, st, visc)
+        )
+        assert traj.monitors.H[i] == pytest.approx(mon.H, rel=1e-13)
+        assert traj.monitors.K[i] == pytest.approx(mon.K, rel=1e-13)
+        assert np.allclose(traj.monitors.L[i], mon.L, rtol=1e-13)
+        assert traj.monitors.dissipation_rate[i] == pytest.approx(mon.dissipation_rate, rel=1e-13)
+        assert traj.cdot_max[i] == pytest.approx(es.max_cauchy_green_rate(triaxial, st), rel=1e-13)
+        _, Y, _ = es.comoving_decomposition(triaxial, st)
+        w_spin, w_orbit = es.instantaneous_spin(triaxial, st)
+        assert np.allclose(traj.Y[i], Y, rtol=1e-13, atol=0.0)
+        assert np.allclose(traj.omega_spin[i], w_spin, rtol=1e-13, atol=0.0)
+        assert np.allclose(traj.omega_orbit[i], w_orbit, rtol=1e-13, atol=0.0)
+        assert rows[i, -2:] == pytest.approx(
+            [np.linalg.norm(Y), np.linalg.norm(w_spin)], rel=1e-13
+        )
 
 
 def test_impact_event_matches_radial_fall_oracle(triaxial, material):
@@ -183,3 +180,9 @@ def test_settings_validation():
         es.IntegratorSettings(method="verlet")
     with pytest.raises(InvalidParameterError):
         es.IntegratorSettings(rel_tol=0.0)
+    # a zero step bound or impact radius would break the run, not the config
+    for bad in ({"max_step": 0.0}, {"max_step": -1.0}, {"impact_radius": 0.0},
+                {"impact_radius": -1.0}, {"escape_radius": 1e-2},
+                {"impact_radius": 2.0, "escape_radius": 1.0}):
+        with pytest.raises(InvalidParameterError):
+            es.IntegratorSettings(**bad)

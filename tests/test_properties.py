@@ -1,9 +1,11 @@
-"""Invariants of the force kernel and its Hessian over generated regular states (Hypothesis).
+"""Invariants of the force kernel, its Hessian and the monitors over generated regular states (Hypothesis).
 
 The states are rigid placements of the triaxial body on orbits of radius
 2.5 to 8 with bounded strain and strain-rate noise.  Material constants,
 self-gravity and viscosity are all switched on, so every term of the
 kernel is exercised; the Hessian property also runs with self-gravity off.
+The monitor functions are checked on stacks of such states against their
+values state by state.
 """
 
 import dataclasses
@@ -122,3 +124,40 @@ def test_potential_hessian_is_the_symmetric_force_derivative(triaxial, placement
     H_fd = np.column_stack([(grad(state.q + h * e) - grad(state.q - h * e)) / (2 * h)
                             for e in np.eye(state.q.size)])
     assert np.linalg.norm(H - H_fd) <= 1e-7 * np.linalg.norm(H)
+
+
+def _monitors(body, state):
+    """Every monitor function of state, as a flat dict of arrays.
+
+    energy_breakdown calls each energy function and angular_momentum.
+    """
+    R, Y, residual = es.comoving_decomposition(body, state)
+    omega_spin, omega_orbit = es.instantaneous_spin(body, state)
+    mon = es.energy_breakdown(
+        body, state, MAT, dissipation_rate=es.dissipation_rate(body, state, es.ViscosityParams(ETA))
+    )
+    return {
+        **dataclasses.asdict(mon),
+        "cdot_max": es.max_cauchy_green_rate(body, state),
+        "R": R, "Y": Y, "xi_residual": residual,
+        "omega_spin": omega_spin, "omega_orbit": omega_orbit,
+    }
+
+
+@PROPERTY
+@given(placements=st.lists(PLACEMENTS, min_size=2, max_size=4))
+def test_monitors_of_a_stack_are_the_monitors_of_each_state(triaxial, placements):
+    states = [_state(triaxial, p) for p in placements]
+    for state in states:
+        try:
+            require_regular(triaxial, state)
+        except SingularConfigurationError:
+            assume(False)
+    stack = es.DeformationState(np.stack([s.q for s in states]), np.stack([s.qdot for s in states]))
+    batched = _monitors(triaxial, stack)
+    single = [_monitors(triaxial, s) for s in states]
+    for name, column in batched.items():
+        expected = np.stack([np.asarray(one[name]) for one in single])
+        assert column.shape == expected.shape, name
+        scale = np.max(np.abs(expected))
+        assert np.max(np.abs(column - expected)) <= 1e-13 * scale, name
