@@ -133,6 +133,12 @@ class ReferenceBody:
     inner product. The full mass matrix is kron(S, I3). The stress rule
     keeps only its weights ``stress_weights`` and monomial gradients
     ``stress_Gm``; stress_gradients and stress_divergence work on it.
+
+    Three constant tables are built once with the body, so that the force
+    kernel and the mass solve are a few matrix products per call:
+    ``node_masses`` rho0 w_q at the full-rule nodes, ``S_inv`` the inverse
+    of S (solve_mass), and ``stress_adjoint`` (nm, 3 ns), whose entry
+    [a, 3s + j] is w_s d_j m_a(x_s) (stress_divergence).
     """
 
     semi_axes: tuple[float, float, float]
@@ -150,7 +156,9 @@ class ReferenceBody:
     mu_vec: np.ndarray = field(repr=False) # (nm,) integral of rho0 * m_a
     stress_weights: np.ndarray = field(repr=False)  # (ns,) stress-rule weights
     stress_Gm: np.ndarray = field(repr=False)       # (ns, 3, nm) stress-rule gradients
-    _S_cho: tuple = field(repr=False, compare=False)
+    node_masses: np.ndarray = field(repr=False)     # (nq,) rho0 * weights
+    S_inv: np.ndarray = field(repr=False)           # (nm, nm) inverse Gram matrix
+    stress_adjoint: np.ndarray = field(repr=False)  # (nm, 3 ns) w_s grad m_a(x_s)
 
     @property
     def n_modes(self) -> int:
@@ -186,18 +194,19 @@ class ReferenceBody:
         """Galerkin force of a first-Piola field P (ns, 3, 3) at the stress nodes, shape (nm, 3).
 
         Row a is sum_s w_s P_s grad m_a(x_s): the stress-rule quadrature of
-        P : Dphi, the adjoint of stress_gradients under the stress weights.
-        Leading axes of P, if any, are a batch and lead the result too.
+        P : Dphi, the adjoint of stress_gradients under the stress weights:
+        one product of the stress-adjoint table with P^T stacked over the
+        nodes. Leading axes of P, if any, are a batch and lead the result too.
         """
-        return np.einsum("s,...sij,sja->...ai", self.stress_weights, P, self.stress_Gm)
+        return self.stress_adjoint @ P.mT.reshape(*P.shape[:-3], -1, 3)
 
     def barycenter(self, q: np.ndarray) -> np.ndarray:
         """Mass center of the deformed body (exact for polynomial maps), shape (..., 3)."""
         return (self.mu_vec @ _rows(q)) / self.mass
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve M x = rhs with the prefactored mass matrix."""
-        return cho_solve(self._S_cho, rhs.reshape(-1, 3)).reshape(rhs.shape)
+        """Solve M x = rhs, M = kron(S, I3): one product with the inverse Gram matrix."""
+        return (self.S_inv @ rhs.reshape(-1, 3)).reshape(rhs.shape)
 
 
 def det3(F: np.ndarray) -> np.ndarray:
@@ -221,8 +230,7 @@ def _gradients(Gm: np.ndarray, q: np.ndarray) -> np.ndarray:
     product per state, in which row (n, j) of Gm times A is column j of F_n.
     """
     A = _rows(q)
-    F = (Gm.reshape(-1, A.shape[-2]) @ A).reshape(*A.shape[:-2], -1, 3, 3)
-    return np.swapaxes(F, -1, -2)
+    return (Gm.reshape(-1, A.shape[-2]) @ A).reshape(*A.shape[:-2], -1, 3, 3).mT
 
 
 @dataclass
@@ -288,9 +296,10 @@ def build_ellipsoid_body(
     second_moment = np.einsum("q,qi,qj->ij", rho_w, nodes, nodes)
 
     try:
-        S_cho = cho_factor(S)
+        S_inv = cho_solve(cho_factor(S), np.eye(len(S)))
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"mass matrix is not positive definite: {exc}") from exc
+    stress_Gm = _eval_monomial_gradients(exponents, stress_nodes)
 
     return ReferenceBody(
         semi_axes=semi_axes,
@@ -307,8 +316,10 @@ def build_ellipsoid_body(
         S=S,
         mu_vec=mu_vec,
         stress_weights=stress_weights,
-        stress_Gm=_eval_monomial_gradients(exponents, stress_nodes),
-        _S_cho=S_cho,
+        stress_Gm=stress_Gm,
+        node_masses=rho_w,
+        S_inv=S_inv,
+        stress_adjoint=(stress_weights[:, None, None] * stress_Gm).reshape(-1, len(S)).T,
     )
 
 

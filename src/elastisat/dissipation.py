@@ -39,13 +39,13 @@ class ViscosityParams:
 
 def cauchy_green_rate(F, Fdot) -> np.ndarray:
     """Cdot = Fdot^T F + F^T Fdot for F, Fdot (..., 3, 3); zero exactly for rigid motion."""
-    FtFd = np.matmul(np.swapaxes(F, -1, -2), Fdot)
-    return FtFd + np.swapaxes(FtFd, -1, -2)
+    FtFd = F.mT @ Fdot
+    return FtFd + FtFd.mT
 
 
 def viscous_first_piola(F, Fdot, eta: float) -> np.ndarray:
     """Nodal viscous stress P_v = eta F Cdot for node gradients F, Fdot (..., 3, 3)."""
-    return eta * np.matmul(F, cauchy_green_rate(F, Fdot))
+    return eta * (F @ cauchy_green_rate(F, Fdot))
 
 
 def viscous_force(

@@ -1,18 +1,23 @@
 """Equations of motion in Galerkin coordinates and their time integration.
 
 The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
-matrix M prefactored once. f - g comes from energetics.generalized_force,
-the one force kernel: f is the exact gradient force of the conservative
-potentials and g the viscous force. solve_ivp integrates it; termination
-is event-based (impact, escape ceiling, loss of regularity; the singular
-event state itself has no monitors and is not recorded). Trajectories are
-columnar, one row per sample: energy monitors, the rigidity diagnostic, and
-the spin, orbital rate and comoving planet offset the classifier reads.
-They are built in one pass, each monitor evaluated on the stack of states.
+matrix M = kron(S, I3), whose Gram inverse the body tabulates once.
+f - g comes from energetics.generalized_force, the one force kernel: f is
+the exact gradient force of the conservative potentials and g the viscous
+force. Each right-hand side takes the stress-rule gradients of q and qdot
+in one product and solves the mass matrix with one more. solve_ivp
+integrates it; termination is event-based (impact, escape ceiling, loss
+of regularity; the singular event state itself has no monitors and is
+not recorded), and the event that fires is logged at debug level.
+Trajectories are columnar, one row per sample: energy monitors, the
+rigidity diagnostic, and the spin, orbital rate and comoving planet offset
+the classifier reads. They are built in one pass, each monitor evaluated
+on the stack of states.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
@@ -29,6 +34,8 @@ MONITOR_COLUMNS = (
 )
 
 _SCIPY_METHODS = {"dop853": "DOP853", "rk45": "RK45"}
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -139,12 +146,10 @@ def _take_rows(record, idx):
     return replace(record, **rows)
 
 
-def _accel(body, q, qdot, material, viscosity):
-    """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3)."""
-    Fdot = body.stress_gradients(qdot) if viscosity.eta > 0.0 else None
-    force = generalized_force(
-        body, body.node_positions(q), body.stress_gradients(q), Fdot, material, viscosity.eta
-    )
+def _accel(body, y, material, viscosity):
+    """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3), of y = (q, qdot) (2, 3N)."""
+    F, Fdot = body.stress_gradients(y)
+    force = generalized_force(body, body.node_positions(y[0]), F, Fdot, material, viscosity.eta)
     return body.solve_mass(force)
 
 
@@ -157,7 +162,8 @@ def equations_of_motion(
 ):
     """(qdot, qddot) of the reduced system M qddot = f_conservative - g_viscous."""
     require_regular(body, state, impact_radius)
-    return state.qdot.copy(), _accel(body, state.q, state.qdot, material, viscosity).reshape(-1)
+    y = np.stack([state.q, state.qdot])
+    return state.qdot.copy(), _accel(body, y, material, viscosity).reshape(-1)
 
 
 def instantaneous_spin(body: ReferenceBody, state: DeformationState):
@@ -168,7 +174,7 @@ def instantaneous_spin(body: ReferenceBody, state: DeformationState):
     zetadot ~ cdot + omega x (zeta - c) over the nodes; omega_orbit =
     c x cdot / |c|^2 (zero where c = 0).
     """
-    m = body.density * body.weights
+    m = body.node_masses
     c = body.barycenter(state.q)
     cd = body.barycenter(state.qdot)
     rel = body.node_positions(state.q) - c[..., None, :]
@@ -193,7 +199,7 @@ def comoving_decomposition(body: ReferenceBody, state: DeformationState):
     xi_residual (...), from one batched SVD.
     """
     Z, _ = require_regular(body, state)
-    m = body.density * body.weights
+    m = body.node_masses
     xbar = body.first_moment / body.mass
     zbar = body.barycenter(state.q)
     Hcorr = (m[:, None] * (body.nodes - xbar)).T @ (Z - zbar[..., None, :])
@@ -255,12 +261,12 @@ def integrate(
     y0 = np.concatenate([state0.q, state0.qdot])
 
     def rhs(t, y):
-        acc = _accel(body, y[:nq], y[nq:], material, viscosity)
+        acc = _accel(body, y.reshape(2, nq), material, viscosity)
         return np.concatenate([y[nq:], acc.reshape(-1)])
 
     def impact_event(t, y):
         Z = body.node_positions(y[:nq])
-        return float(np.min(np.linalg.norm(Z, axis=1))) - settings.impact_radius
+        return float(np.sqrt(np.min(np.vecdot(Z, Z)))) - settings.impact_radius
 
     def escape_event(t, y):
         c = body.barycenter(y[:nq])
@@ -269,7 +275,8 @@ def integrate(
     def singular_event(t, y):
         return float(np.min(det3(body.node_gradients(y[:nq]))))
 
-    for ev in (impact_event, escape_event, singular_event):
+    events = [impact_event, escape_event, singular_event]
+    for ev in events:
         ev.terminal = True
         ev.direction = -1.0
 
@@ -286,7 +293,7 @@ def integrate(
         atol=settings.abs_tol,
         max_step=settings.max_step,
         t_eval=t_eval,
-        events=[impact_event, escape_event, singular_event],
+        events=events,
         dense_output=False,
     )
     times = list(sol.t)
@@ -298,6 +305,7 @@ def integrate(
         which = next(i for i, te in enumerate(sol.t_events) if len(te) > 0)
         termination, reason = tags[which], reasons[which]
         t_ev = sol.t_events[which][0]
+        log.debug("%s fired at t = %.17g: %s", events[which].__name__, t_ev, termination)
         if termination == "step-failure":
             reason += f" at t = {t_ev:.6g}"
         elif not times or times[-1] < t_ev:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .body_model import DeformationState, ReferenceBody, _rows, det3, require_regular
-from .dissipation import viscous_first_piola
+from .dissipation import cauchy_green_rate
 from .errors import InvalidParameterError, SingularConfigurationError
 
 _I3 = np.eye(3)
@@ -86,7 +86,7 @@ class EnergyBreakdown:
 
 def _green_strain(F) -> np.ndarray:
     """E = (F^T F - I)/2 for F of shape (..., 3, 3)."""
-    return 0.5 * (np.matmul(np.swapaxes(F, -1, -2), F) - _I3)
+    return 0.5 * (F.mT @ F - _I3)
 
 
 def _second_piola(E, params: MaterialParams) -> np.ndarray:
@@ -119,10 +119,9 @@ def _first_piola_tangent(F, dF, params: MaterialParams) -> np.ndarray:
 
     F has shape (..., 3, 3) and dF broadcasts against it.
     """
-    FtdF = np.matmul(np.swapaxes(F, -1, -2), dF)
-    dE = 0.5 * (FtdF + np.swapaxes(FtdF, -1, -2))
-    return (np.matmul(dF, _second_piola(_green_strain(F), params))
-            + np.matmul(F, _second_piola(dE, params)))
+    FtdF = F.mT @ dF
+    dE = 0.5 * (FtdF + FtdF.mT)
+    return dF @ _second_piola(_green_strain(F), params) + F @ _second_piola(dE, params)
 
 
 def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
@@ -170,7 +169,7 @@ def self_gravity_energy(
     lead = state.q.shape[:-1]
     if params.self_gravity_k == 0.0:
         return np.zeros(lead)[()]
-    m = body.density * body.weights
+    m = body.node_masses
     energies = []
     for q in state.q.reshape(-1, state.q.shape[-1]):
         inv, _ = _softened_inverse_distances(body.node_positions(q), params.softening)
@@ -210,20 +209,25 @@ def generalized_force(
     discretized potentials and g the Kelvin-Voigt force of viscosity eta.
     The integrator, conservative_force and through it the Newton solver
     and the spectrum all evaluate this.
+
+    Both stresses share the factor F: the total first Piola stress is
+    F (S(E) + eta Cdot), first_piola plus viscous_first_piola in one
+    product, and stress_divergence sums it on the stress rule. Gravity
+    uses the body's precomputed node masses.
     """
-    m = body.density * body.weights
+    m = body.node_masses
     # gravity: dU_g/dZ_q = kM m_q Z_q / |Z_q|^3
-    r2 = np.einsum("qi,qi->q", Z, Z)
-    dU_dZ = params.kM * (m / (r2 * np.sqrt(r2)))[:, None] * Z
+    r2 = np.vecdot(Z, Z)
+    dU_dZ = Z * (params.kM * m / (r2 * np.sqrt(r2)))[:, None]
     if params.self_gravity_k > 0.0:
         inv, diff = _softened_inverse_distances(Z, params.softening)
         coeff = m[:, None] * m[None, :] * inv**3
         dU_dZ += 2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff)
 
-    P = first_piola(F, params)
+    stress = _second_piola(_green_strain(F), params)
     if eta > 0.0:
-        P = P + viscous_first_piola(F, Fdot, eta)
-    return -(body.P.T @ dU_dZ) - body.stress_divergence(P)
+        stress = stress + eta * cauchy_green_rate(F, Fdot)
+    return -(body.P.T @ dU_dZ) - body.stress_divergence(F @ stress)
 
 
 def conservative_force(
@@ -251,7 +255,7 @@ def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams
     Z, _ = require_regular(body, DeformationState(q, np.zeros_like(q)))
     n = q.size
     nq, nm = body.P.shape
-    m = body.density * body.weights
+    m = body.node_masses
     r2 = np.einsum("qi,qi->q", Z, Z)
     c3 = params.kM * m / (r2 * np.sqrt(r2))
     ZZ = Z[:, :, None] * Z[:, None, :]

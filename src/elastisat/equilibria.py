@@ -169,6 +169,28 @@ def _radius_from_momentum(body: ReferenceBody, material: MaterialParams, L_mag: 
     return max(r, 1.5 * body.mean_radius)
 
 
+# Below this |J^T r| / (|J| |r|), Newton's iterate is taken for a
+# stationary point of the residual norm (see _stationarity_note).  On the
+# triaxial body at r = 2.5 with seed noise 0.25, the two stops at
+# |r| ~ 2.3e-6 give 9.1e-10 and 1.7e-2, and the stops far from any root
+# (|r| 0.04-0.16, stalled or out of iterations) give 0.41 to 0.99.
+_STATIONARY_RATIO = 0.05
+
+
+def _stationarity_note(J: np.ndarray, r: np.ndarray) -> str:
+    """Suffix for NoConvergenceError naming a stationary point of |r| that is not a root.
+
+    g = J^T r is the gradient of |r|^2 / 2 on Newton's system (phase row
+    included). Where |g| is tiny next to |J| |r| (J's spectral norm), no
+    step can reduce |r| to first order, so backtracking or more iterations
+    cannot help.
+    """
+    ratio = float(np.linalg.norm(J.T @ r) / (np.linalg.norm(J, 2) * np.linalg.norm(r)))
+    if ratio >= _STATIONARY_RATIO:
+        return ""
+    return f": stationary point of the residual norm, not a root (|J^T r| / (|J| |r|) = {ratio:.1e})"
+
+
 def solve_relative_equilibrium(
     body: ReferenceBody,
     material: MaterialParams,
@@ -217,6 +239,11 @@ def solve_relative_equilibrium(
     def residual(vec):
         return equilibrium_residual(body, material, vec[:nq], vec[nq:], L0)
 
+    def linearization(vec, res_vec):
+        """Newton's least-squares system at vec: [J; T0] and [-res; -T0 . (vec - u0)]."""
+        J = np.vstack([equilibrium_jacobian(body, material, vec[:nq], vec[nq:]), T0])
+        return J, np.append(-res_vec, -T0 @ (vec - u0))
+
     res = residual(u)
     norm = float(np.linalg.norm(res))
     trace = [norm]
@@ -224,8 +251,7 @@ def solve_relative_equilibrium(
     for iterations in range(1, max_iter + 1):
         if float(np.max(np.abs(res))) <= tol:
             break
-        J = np.vstack([equilibrium_jacobian(body, material, u[:nq], u[nq:]), T0])
-        rhs = np.append(-res, -T0 @ (u - u0))
+        J, rhs = linearization(u, res)
         step = np.linalg.lstsq(J, rhs, rcond=None)[0]
         alpha = 1.0
         accepted = False
@@ -246,12 +272,14 @@ def solve_relative_equilibrium(
             alpha *= 0.5
         if not accepted:
             raise NoConvergenceError(
-                f"line search stalled at residual {norm:.3e}", residual_trace=trace
+                f"line search stalled at residual {norm:.3e}{_stationarity_note(J, rhs)}",
+                residual_trace=trace,
             )
     else:
         if float(np.max(np.abs(res))) > tol:
             raise NoConvergenceError(
-                f"no convergence in {max_iter} iterations (residual {norm:.3e})",
+                f"no convergence in {max_iter} iterations (residual {norm:.3e})"
+                f"{_stationarity_note(*linearization(u, res))}",
                 residual_trace=trace,
             )
 

@@ -125,6 +125,20 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
 
 
+def test_debug_log_names_the_event_and_leaves_outputs_unchanged(tmp_path, caplog):
+    cfg = str(SCENARIOS / "impact.yaml")
+    quiet, loud = tmp_path / "quiet", tmp_path / "debug"
+    assert main(["simulate", "--config", cfg, "--out", str(quiet)]) == 0
+    with caplog.at_level("DEBUG", logger="elastisat.dynamics"):
+        assert main(["--log-level", "debug", "simulate", "--config", cfg, "--out", str(loud)]) == 0
+    hits = [r.getMessage() for r in caplog.records if r.name == "elastisat.dynamics"]
+    assert len(hits) == 1 and hits[0].startswith("impact_event fired at t = ")
+    t_hit = float(hits[0].split("t = ")[1].split(":")[0])
+    assert t_hit == json.loads((loud / "result.json").read_text())["t_final"]
+    for name in ("monitors.csv", "result.json"):
+        assert (quiet / name).read_bytes() == (loud / name).read_bytes()
+
+
 def test_singular_run_is_undetermined_and_keeps_its_regular_samples(tmp_path):
     # a soft body squeezed along x at rate 3 reaches det(Dzeta) = 0 near t = 1/3;
     # the singular event state has no monitors, so it is not recorded

@@ -15,13 +15,14 @@ compare_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(compare_outputs)
 
 
-def _write_run(root, rows, q, note="ok"):
+def _write_run(root, rows, q, note="ok", nfev=100):
     root.mkdir()
     with open(root / "monitors.csv", "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["t", "H"])
         writer.writerows(rows)
-    doc = {"outcome": note, "equilibrium": {"q": list(q), "L": [0.0, 0.0, 2.0]}}
+    doc = {"outcome": note, "counters": {"nfev": nfev},
+           "equilibrium": {"q": list(q), "L": [0.0, 0.0, 2.0]}}
     (root / "result.json").write_text(json.dumps(doc))
     (root / "manifest.json").write_text(json.dumps({"wall_time_s": len(note)}))
 
@@ -61,3 +62,29 @@ def test_non_numeric_and_missing_outputs_fail(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "only in A: extra.csv" in out
     assert "'Impact' != 'Unbounded'" in out
+
+
+def test_bound_fails_fields_that_move_more_than_rel_times_their_scale(tmp_path, capsys):
+    q = np.arange(12.0)
+    _write_run(tmp_path / "a", [[0.0, -1.0], [1.0, -2.0]], q)
+    _write_run(tmp_path / "b", [[0.0, -1.0], [1.0, -2.0 + 1e-9]], q)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert compare_outputs.main([a, b]) == 0  # without the flag, numbers never fail
+    assert compare_outputs.main([a, b, "--bound", "1e-8"]) == 0
+    capsys.readouterr()
+    # H's limit is 1e-10 x max(1, 2): 2e-10 < 1e-9
+    assert compare_outputs.main([a, b, "--bound", "1e-10"]) == 1
+    out = capsys.readouterr().out
+    assert "! H: max_abs 1.000e-09 > 1e-10 x max(1, 2.000e+00)" in out
+    assert "! t:" not in out
+
+
+def test_bound_fails_any_change_of_an_integer_counter(tmp_path, capsys):
+    q = np.arange(12.0)
+    _write_run(tmp_path / "a", [[0.0, 1.0]], q, nfev=100)
+    _write_run(tmp_path / "b", [[0.0, 1.0]], q, nfev=101)
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    assert compare_outputs.main([a, b]) == 0
+    # 1 in 101 is well inside a loose relative bound, but counters must match
+    assert compare_outputs.main([a, b, "--bound", "0.1"]) == 1
+    assert "! counters.nfev: integer values differ by up to 1" in capsys.readouterr().out

@@ -124,23 +124,40 @@ def test_solver_failure_carries_residual_trace(triaxial, material):
     assert len(info.value.residual_trace) >= 1
 
 
+def _perturbed_seed(body, material, draw):
+    """Draw number `draw` of noisy synchronous seeds at r = 2.5 (noise 0.25): (L0, guess, omega0)."""
+    rng = np.random.default_rng(0)
+    for _ in range(draw):
+        guess, omega0 = es.synchronous_guess(body, material, 2.5)
+        guess.q = guess.q + 0.25 * rng.standard_normal(guess.q.size)
+    return es.angular_momentum(body, guess), guess, omega0
+
+
 @pytest.mark.parametrize("draw, converges", [(5, True), (11, False)])
 def test_newton_survives_inadmissible_points(triaxial, material, draw, converges):
     # Seeds that pass require_regular but whose Newton steps reach
     # det(Dzeta) <= 0: a trial point there is a rejected step.  Draw 5
     # converges anyway; from draw 11 every cut of some step stays
     # inadmissible or raises the residual, so the line search stalls.
-    rng = np.random.default_rng(0)
-    for _ in range(draw):
-        guess, omega0 = es.synchronous_guess(triaxial, material, 2.5)
-        guess.q = guess.q + 0.25 * rng.standard_normal(guess.q.size)
-    L0 = es.angular_momentum(triaxial, guess)
+    L0, guess, omega0 = _perturbed_seed(triaxial, material, draw)
     if converges:
         eq = es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
         assert eq.residual_norm <= 1e-12
     else:
-        with pytest.raises(NoConvergenceError, match="line search stalled"):
+        with pytest.raises(NoConvergenceError, match="line search stalled") as info:
             es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+        assert "stationary point" not in str(info.value)  # |res| 0.16, far from stationary
+
+
+@pytest.mark.parametrize("draw", [4, 10])
+def test_newton_names_a_stationary_point_that_is_no_root(triaxial, material, draw):
+    # These seeds end at |res| ~ 2.3e-6, where J^T res nearly vanishes on
+    # Newton's system: no step reduces the residual norm to first order.
+    L0, guess, omega0 = _perturbed_seed(triaxial, material, draw)
+    with pytest.raises(NoConvergenceError, match="line search stalled") as info:
+        es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+    assert "stationary point of the residual norm, not a root" in str(info.value)
+    assert info.value.residual_trace[-1] < 1e-5
 
 
 def _fd_jacobian(body, material, q, omega):

@@ -5,7 +5,10 @@ The states are rigid placements of the triaxial body on orbits of radius
 self-gravity and viscosity are all switched on, so every term of the
 kernel is exercised; the Hessian property also runs with self-gravity off.
 The monitor functions are checked on stacks of such states against their
-values state by state.
+values state by state.  The body's constant tables are checked at basis
+degrees 1 and 2 through the methods built on them: stress_divergence (the
+stress-adjoint table) against its defining adjoint identity, and
+solve_mass (the inverse Gram matrix) against the mass matrix.
 """
 
 import dataclasses
@@ -22,6 +25,7 @@ from elastisat.energetics import conservative_force, generalized_force, potentia
 from elastisat.errors import SingularConfigurationError
 
 MAT = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
+BODIES = {d: es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=d) for d in (1, 2)}
 ETA = 0.4
 PROPERTY = settings(max_examples=25, deadline=None)
 
@@ -161,3 +165,33 @@ def test_monitors_of_a_stack_are_the_monitors_of_each_state(triaxial, placements
         assert column.shape == expected.shape, name
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(column - expected)) <= 1e-13 * scale, name
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), batch=st.sampled_from([(), (3,)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_stress_divergence_is_the_adjoint_of_stress_gradients(degree, batch, seed):
+    # sum_s w_s P_s : F_s(q) = <stress_divergence(P), rows(q)>, for every
+    # stress field P and coefficient vector q; a batch of fields is
+    # mapped field by field
+    body = BODIES[degree]
+    rng = np.random.default_rng(seed)
+    q = rng.standard_normal(body.n_modes)
+    P = rng.standard_normal((*batch, body.stress_weights.size, 3, 3))
+    F = body.stress_gradients(q)
+    weighted = np.einsum("s,...sij,sij->...", body.stress_weights, P, F)
+    div = body.stress_divergence(P)
+    assert div.shape == (*batch, body.basis.n_monomials, 3)
+    paired = np.einsum("...ai,ai->...", div, q.reshape(-1, 3))
+    scale = np.einsum("s,...sij,sij->...", body.stress_weights, np.abs(P), np.abs(F))
+    assert np.all(np.abs(paired - weighted) <= 1e-13 * scale)
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), data=st.data())
+def test_solve_mass_inverts_the_mass_matrix(degree, data):
+    body = BODIES[degree]
+    x = data.draw(_vectors(body.n_modes, 1e3).filter(lambda v: np.any(v)))
+    M = es.mass_matrix(body)
+    for rhs in (M @ x, (M @ x).reshape(-1, 3)):
+        assert np.linalg.norm(body.solve_mass(rhs).reshape(-1) - x) <= 1e-13 * np.linalg.norm(x)

@@ -1,6 +1,6 @@
 """Numeric difference between two elastisat output directories.
 
-    python tools/compare_outputs.py DIR_A DIR_B
+    python tools/compare_outputs.py DIR_A DIR_B [--bound REL]
 
 Every ``*.csv`` and ``*.json`` file found under both directories (at the
 same relative path) is compared; ``manifest.json`` is skipped because it
@@ -17,11 +17,15 @@ is also compared after rotating A's coefficient rows about L onto B's
 the angle is printed.
 
 Exit status 0 when both trees have the same files, shapes and
-non-numeric values, 1 otherwise.
+non-numeric values, 1 otherwise. With ``--bound REL`` the exit status is
+also 1 when a field's max_abs exceeds REL x max(1, the field's largest
+magnitude), or when an integer field (a JSON value that is an int on both
+sides, such as a counter or a Newton iteration count) differs at all.
 """
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 import math
@@ -83,8 +87,11 @@ class _Field:
         self.max_abs = 0.0
         self.max_rel = 0.0
         self.max_mag = 0.0
+        self.integer = True  # every value so far an int on both sides
 
-    def add(self, a: float, b: float):
+    def add(self, a, b):
+        self.integer = self.integer and isinstance(a, int) and isinstance(b, int)
+        a, b = float(a), float(b)
         diff = abs(a - b)
         mag = max(abs(a), abs(b))
         self.max_abs = max(self.max_abs, diff)
@@ -95,6 +102,15 @@ class _Field:
     @property
     def rel_to_max(self) -> float:
         return self.max_abs / self.max_mag if self.max_mag > 0.0 else 0.0
+
+    def over_bound(self, bound: float) -> str | None:
+        """Why this field breaks --bound, or None."""
+        if self.integer and self.max_abs > 0.0:
+            return f"integer values differ by up to {self.max_abs:g}"
+        limit = bound * max(1.0, self.max_mag)
+        if self.max_abs > limit:
+            return f"max_abs {self.max_abs:.3e} > {bound:g} x max(1, {self.max_mag:.3e})"
+        return None
 
 
 def _report(name: str, fields: dict, problems: list, notes: list):
@@ -112,7 +128,7 @@ def _report(name: str, fields: dict, problems: list, notes: list):
 
 def _add(fields, problems, key, a, b):
     if _is_number(a) and _is_number(b):
-        fields.setdefault(key, _Field()).add(float(a), float(b))
+        fields.setdefault(key, _Field()).add(a, b)
     elif a != b:
         problems.append(f"{key}: {a!r} != {b!r}")
 
@@ -162,12 +178,13 @@ def compare_json(path_a: Path, path_b: Path):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 2:
-        print(__doc__.strip().splitlines()[0], file=sys.stderr)
-        print("usage: python tools/compare_outputs.py DIR_A DIR_B", file=sys.stderr)
-        return 2
-    dir_a, dir_b = Path(argv[0]), Path(argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.strip().splitlines()[0])
+    parser.add_argument("dir_a", type=Path)
+    parser.add_argument("dir_b", type=Path)
+    parser.add_argument("--bound", type=float, metavar="REL",
+                        help="fail when a field moves by more than REL x max(1, field max)")
+    args = parser.parse_args(argv)
+    dir_a, dir_b = args.dir_a, args.dir_b
 
     def outputs(root):
         return {
@@ -182,6 +199,9 @@ def main(argv=None) -> int:
     for rel in sorted(files_a & files_b):
         compare = compare_csv if rel.suffix == ".csv" else compare_json
         fields, problems, notes = compare(dir_a / rel, dir_b / rel)
+        if args.bound is not None:
+            problems += [f"{key}: {why}" for key, f in fields.items()
+                         if (why := f.over_bound(args.bound))]
         _report(str(rel), fields, problems, notes)
         clean = clean and not problems
     return 0 if clean else 1
