@@ -5,9 +5,13 @@ Deformations are expanded in vector-valued monomials of total degree
 <= ``basis_degree``. Integrals over the body use tensorized Gauss-Legendre
 rules mapped onto the ellipsoid, two of them:
 
-- the full rule (order 8 by default) carries everything that involves
-  node positions: the moments, the mass matrix, gravity and self-gravity
-  (1/|zeta| is not polynomial), and the pointwise regularity checks;
+- the full rule (order 8 by default) builds the Gram matrix S of the
+  monomials and the reference moments once. Every mass-weighted
+  polynomial moment of the deformed body (mass matrix, barycenter, K, L,
+  the spin fit, the comoving frame) is a form in S and the coefficient
+  rows. After that the full rule carries only gravity and self-gravity
+  (1/|zeta| is not polynomial) and the pointwise checks: det Dzeta,
+  impact distance and the Cdot_max gauge;
 - the stress rule, exact for total degree 4 (d - 1) with d the basis
   degree, carries the stress integrands. Dzeta has degree d - 1 in x, so
   the Saint Venant-Kirchhoff energy density, the Kelvin-Voigt dissipation
@@ -126,18 +130,16 @@ class DeformationBasis:
 class ReferenceBody:
     """Immutable reference configuration with its two quadrature rules and moments.
 
-    All integral operators downstream reduce to contractions against the
-    precomputed node tables of the full rule: monomial values ``P`` (nodes
-    x monomials), monomial gradients ``Gm`` (nodes x 3 x monomials), and
-    the scalar Gram matrix ``S`` of the monomials in the rho0-weighted
-    inner product. The full mass matrix is kron(S, I3). The stress rule
-    keeps only its weights ``stress_weights`` and monomial gradients
-    ``stress_Gm``; stress_gradients and stress_divergence work on it.
+    The scalar Gram matrix ``S`` of the monomials in the rho0-weighted
+    inner product (the mass matrix is kron(S, I3)) and ``mu_vec`` carry
+    every polynomial moment. The full rule keeps its node tables, monomial
+    values ``P`` (nodes x monomials) and gradients ``Gm`` (nodes x 3 x
+    monomials), for gravity and the pointwise checks. The stress rule keeps
+    only its weights ``stress_weights`` and monomial gradients ``stress_Gm``.
 
-    Three constant tables are built once with the body, so that the force
-    kernel and the mass solve are a few matrix products per call:
-    ``node_masses`` rho0 w_q at the full-rule nodes, ``S_inv`` the inverse
-    of S (solve_mass), and ``stress_adjoint`` (nm, 3 ns), whose entry
+    Three constant tables are built once with the body: ``node_masses``
+    rho0 w_q at the full-rule nodes, ``S_inv`` the inverse of S
+    (solve_mass), and ``stress_adjoint`` (nm, 3 ns), whose entry
     [a, 3s + j] is w_s d_j m_a(x_s) (stress_divergence).
     """
 
@@ -165,18 +167,13 @@ class ReferenceBody:
         return self.basis.count
 
     @property
-    def volume(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
     def mean_radius(self) -> float:
         a, b, c = self.semi_axes
         return float((a * b * c) ** (1.0 / 3.0))
 
     def inertia_tensor(self) -> np.ndarray:
-        """Inertia tensor about the centroid, tr(J) I - J with J the second moment."""
-        J = self.second_moment
-        return np.trace(J) * np.eye(3) - J
+        """Inertia tensor of the reference body about its centroid (the origin)."""
+        return inertia(self.second_moment)
 
     def node_positions(self, q: np.ndarray) -> np.ndarray:
         """Images zeta(x_q) of all quadrature nodes, shape (..., nq, 3) for q (..., 3N)."""
@@ -207,6 +204,11 @@ class ReferenceBody:
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """Solve M x = rhs, M = kron(S, I3): one product with the inverse Gram matrix."""
         return (self.S_inv @ rhs.reshape(-1, 3)).reshape(rhs.shape)
+
+
+def inertia(J: np.ndarray) -> np.ndarray:
+    """Inertia tensor tr(J) I - J of second moments J (..., 3, 3), shape (..., 3, 3)."""
+    return np.trace(J, axis1=-2, axis2=-1)[..., None, None] * np.eye(3) - J
 
 
 def det3(F: np.ndarray) -> np.ndarray:
@@ -251,9 +253,6 @@ class DeformationState:
         if self.q.shape != self.qdot.shape or self.q.ndim == 0:
             raise InvalidParameterError("q and qdot must be arrays of equal shape (..., 3N)")
 
-    def copy(self) -> "DeformationState":
-        return DeformationState(self.q.copy(), self.qdot.copy())
-
 
 def build_ellipsoid_body(
     semi_axes,
@@ -268,9 +267,9 @@ def build_ellipsoid_body(
     basis degree alone: it is exact for total degree 4 (basis_degree - 1).
     """
     semi_axes = tuple(float(s) for s in semi_axes)
-    if len(semi_axes) != 3 or any(s <= 0 for s in semi_axes):
+    if len(semi_axes) != 3 or not all(s > 0 for s in semi_axes):
         raise InvalidParameterError(f"semi-axes must be three positive lengths, got {semi_axes}")
-    if density_value <= 0:
+    if not density_value > 0:
         raise InvalidParameterError(f"density must be positive, got {density_value}")
     if basis_degree not in (1, 2):
         raise InvalidParameterError(f"basis_degree must be 1 or 2, got {basis_degree}")
@@ -334,23 +333,13 @@ def evaluate_map(body: ReferenceBody, state: DeformationState, x):
 
 def mass_matrix(body: ReferenceBody) -> np.ndarray:
     """Full Galerkin mass matrix M_jk = integral of rho0 phi_j . phi_k = kron(S, I3)."""
-    M = np.kron(body.S, np.eye(3))
-    try:
-        np.linalg.cholesky(M)
-    except np.linalg.LinAlgError as exc:
-        raise DegenerateBasisError(f"mass matrix is not positive definite: {exc}") from exc
-    return M
+    return np.kron(body.S, np.eye(3))
 
 
 def identity_coefficients(body: ReferenceBody) -> np.ndarray:
-    """Coefficient vector of the identity map zeta(x) = x."""
-    A = np.zeros((body.basis.n_monomials, 3))
-    for a, exp in enumerate(body.basis.exponents):
-        for i in range(3):
-            unit = tuple(1 if j == i else 0 for j in range(3))
-            if exp == unit:
-                A[a, i] = 1.0
-    return A.reshape(-1)
+    """Coefficient vector of the identity map zeta(x) = x: row x_i is e_i, every other row zero."""
+    E = np.array(body.basis.exponents, dtype=float)
+    return (E * (E.sum(axis=1) == 1)[:, None]).reshape(-1)
 
 
 def rigid_state(
@@ -362,24 +351,15 @@ def rigid_state(
 ) -> DeformationState:
     """State of a rigid placement zeta(x) = R x + c with zetadot = v + spin x (R x).
 
-    Any argument left as None defaults to the identity / zero.
+    Any argument left as None defaults to the identity / zero. The rows
+    are those of the identity map rotated, A = X R^T and Adot = A W^T with
+    W = skew(spin), and row 0 (the constant monomial) is (c, v).
     """
     R = np.eye(3) if rotation is None else np.asarray(rotation, dtype=float)
-    c = np.zeros(3) if translation is None else np.asarray(translation, dtype=float)
-    v = np.zeros(3) if velocity is None else np.asarray(velocity, dtype=float)
-    w = np.zeros(3) if spin is None else np.asarray(spin, dtype=float)
-
-    nm = body.basis.n_monomials
-    A = np.zeros((nm, 3))
-    Adot = np.zeros((nm, 3))
-    A[0] = c
-    Adot[0] = v
-    lin = {exp: a for a, exp in enumerate(body.basis.exponents)}
-    W = skew(w)
-    for j in range(3):
-        a = lin[tuple(1 if k == j else 0 for k in range(3))]
-        A[a] = R[:, j]
-        Adot[a] = W @ R[:, j]
+    A = _rows(identity_coefficients(body)) @ R.T
+    Adot = A @ skew(np.zeros(3) if spin is None else spin).T
+    A[0] = 0.0 if translation is None else translation
+    Adot[0] = 0.0 if velocity is None else velocity
     return DeformationState(A.reshape(-1), Adot.reshape(-1))
 
 

@@ -10,7 +10,7 @@ it must all clear their thresholds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 import numpy as np
@@ -22,6 +22,7 @@ from .equilibria import RelativeEquilibrium, solve_relative_equilibrium
 from .errors import (
     ImpactProximityError,
     InsufficientDataError,
+    InvalidParameterError,
     NoConvergenceError,
     SingularConfigurationError,
 )
@@ -40,7 +41,8 @@ class CaptureThresholds:
 
     Capture is an asymptotic statement with no attached rates, so these
     are reporting gates, not physical constants; they are exposed in the
-    scenario schema and echoed into every result document.
+    scenario schema and echoed into every result document. Each is positive
+    (NaN fails).
     """
 
     cdot_max: float = 1e-6
@@ -49,6 +51,11 @@ class CaptureThresholds:
     shape_residual: float = 1e-6
     window_periods: float = 5.0
     equilibrium_tol: float = 1e-10
+
+    def __post_init__(self):
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise InvalidParameterError(f"{f.name} must be > 0, got {getattr(self, f.name)}")
 
 
 @dataclass

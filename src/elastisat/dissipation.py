@@ -33,7 +33,7 @@ class ViscosityParams:
     eta: float = 0.0
 
     def __post_init__(self):
-        if self.eta < 0:
+        if not self.eta >= 0:
             raise InvalidParameterError(f"eta must be >= 0, got {self.eta}")
 
 

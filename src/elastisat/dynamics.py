@@ -12,7 +12,9 @@ not recorded), and the event that fires is logged at debug level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
 the classifier reads. They are built in one pass, each monitor evaluated
-on the stack of states.
+on the stack of states. The spin fit and the comoving frame are moments of
+the coefficient rows in the Gram matrix, so only gravity and the
+pointwise checks read the full-rule nodes, and regularity is checked once.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .body_model import DeformationState, ReferenceBody, det3, require_regular
+from .body_model import (DeformationState, ReferenceBody, _rows, det3, identity_coefficients,
+                         inertia, require_regular)
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
-from .energetics import EnergyBreakdown, MaterialParams, energy_breakdown, generalized_force
+from .energetics import (EnergyBreakdown, MaterialParams, angular_momentum, energy_breakdown,
+                         generalized_force)
 from .errors import InvalidParameterError
 
 MONITOR_COLUMNS = (
@@ -47,7 +51,8 @@ class IntegratorSettings:
     impact_radius: terminate when any material point gets this close to
         the planet; escape_radius: hard ceiling on the barycenter distance
         that stops runaway runs (classification happens downstream).
-        max_step and impact_radius are positive, escape_radius is larger.
+        Every number is positive (NaN fails), t_end and record_every are
+        finite, and escape_radius exceeds impact_radius.
     """
 
     method: str = "dop853"
@@ -62,12 +67,12 @@ class IntegratorSettings:
     def __post_init__(self):
         if self.method not in _SCIPY_METHODS:
             raise InvalidParameterError(f"unknown integrator method {self.method!r}")
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise InvalidParameterError("tolerances must be positive")
-        if self.t_end <= 0:
-            raise InvalidParameterError("t_end must be positive")
-        if self.record_every is not None and self.record_every <= 0:
-            raise InvalidParameterError("record_every must be positive")
+        if not 0 < self.t_end < np.inf:
+            raise InvalidParameterError("t_end must be positive and finite")
+        if self.record_every is not None and not 0 < self.record_every < np.inf:
+            raise InvalidParameterError("record_every must be positive and finite")
         if not self.max_step > 0:
             raise InvalidParameterError("max_step must be positive")
         if not self.impact_radius > 0:
@@ -166,53 +171,58 @@ def equations_of_motion(
     return state.qdot.copy(), _accel(body, y, material, viscosity).reshape(-1)
 
 
+def _about_barycenter(body: ReferenceBody, q: np.ndarray) -> np.ndarray:
+    """Coefficients (..., 3N) of zeta - c, c the barycenter: the constant monomial's row less c."""
+    q_c = q.copy()
+    q_c[..., :3] -= body.barycenter(q)
+    return q_c
+
+
 def instantaneous_spin(body: ReferenceBody, state: DeformationState):
     """Best-fit rigid angular velocity about the barycenter and the orbital rate.
 
     Returns (omega_spin, omega_orbit), each (..., 3) for a state of leading
-    shape (...): omega_spin solves the weighted least-squares fit
-    zetadot ~ cdot + omega x (zeta - c) over the nodes; omega_orbit =
+    shape (...). omega_spin fits zetadot ~ cdot + omega x (zeta - c) by
+    mass-weighted least squares, I_c omega = L_c: the inertia tensor and
+    angular momentum about the barycenter c, Gram-matrix forms of the
+    coefficients of zeta - c and zetadot - cdot. omega_orbit =
     c x cdot / |c|^2 (zero where c = 0).
     """
-    m = body.node_masses
+    relative = DeformationState(*(_about_barycenter(body, v) for v in (state.q, state.qdot)))
+    A = _rows(relative.q)
+    I_c = inertia(A.mT @ body.S @ A)
+    omega_spin = np.linalg.solve(I_c, angular_momentum(body, relative)[..., None])[..., 0]
     c = body.barycenter(state.q)
-    cd = body.barycenter(state.qdot)
-    rel = body.node_positions(state.q) - c[..., None, :]
-    reld = body.node_positions(state.qdot) - cd[..., None, :]
-    L_c = np.einsum("q,...qi->...i", m, np.cross(rel, reld))
-    r2 = np.einsum("...qi,...qi->...q", rel, rel)
-    I_c = (np.einsum("...q,ij->...ij", m * r2, np.eye(3))
-           - np.einsum("q,...qi,...qj->...ij", m, rel, rel))
-    omega_spin = np.linalg.solve(I_c, L_c[..., None])[..., 0]
     c2 = np.vecdot(c, c)[..., None]
-    omega_orbit = np.divide(np.cross(c, cd), c2, out=np.zeros_like(c), where=c2 > 0)
+    cross = np.cross(c, body.barycenter(state.qdot))
+    omega_orbit = np.divide(cross, c2, out=np.zeros_like(c), where=c2 > 0)
     return omega_spin, omega_orbit
 
 
 def comoving_decomposition(body: ReferenceBody, state: DeformationState):
     """Mass-weighted orthogonal-Procrustes factorization zeta(x) ~ R (x + Y).
 
-    Fits the quadrature-node images against the reference nodes; returns
-    (R in SO(3), Y, xi_residual) with xi_residual the mass-weighted RMS
-    misfit (zero exactly for rigid placements of the reference shape).
-    A state of leading shape (...) gives R (..., 3, 3), Y (..., 3) and
-    xi_residual (...), from one batched SVD.
+    Fits zeta ~ R x + t over the body; returns (R in SO(3), Y = R^T t,
+    xi_residual) with xi_residual the mass-weighted RMS misfit (zero exactly
+    for rigid placements of the reference shape). The correlation (of the
+    centered reference rows, which center the product) and the misfit are
+    Gram-matrix forms of coefficient rows. A state of leading shape (...)
+    gives R (..., 3, 3), Y (..., 3) and xi_residual (...), from one batched SVD.
     """
-    Z, _ = require_regular(body, state)
-    m = body.node_masses
-    xbar = body.first_moment / body.mass
-    zbar = body.barycenter(state.q)
-    Hcorr = (m[:, None] * (body.nodes - xbar)).T @ (Z - zbar[..., None, :])
+    x = identity_coefficients(body)
+    X = _rows(x)
+    Hcorr = _rows(_about_barycenter(body, x)).T @ body.S @ _rows(state.q)
     U, _, Vt = np.linalg.svd(Hcorr)
-    V, Ut = np.swapaxes(Vt, -1, -2), np.swapaxes(U, -1, -2)
+    V, Ut = Vt.mT, U.mT
     # reflect the last singular direction where the best orthogonal fit is improper
     flip = np.ones(Hcorr.shape[:-1])
     flip[..., 2] = np.sign(det3(V @ Ut))
     R = (V * flip[..., None, :]) @ Ut
-    t = zbar - R @ xbar
-    Y = (np.swapaxes(R, -1, -2) @ t[..., None])[..., 0]
-    misfit = Z - (body.nodes @ np.swapaxes(R, -1, -2) + t[..., None, :])
-    residual = np.sqrt(np.einsum("q,...qi,...qi->...", m, misfit, misfit) / np.sum(m))
+    t = body.barycenter(state.q) - R @ body.barycenter(x)
+    Y = (R.mT @ t[..., None])[..., 0]
+    D = _rows(state.q) - X @ R.mT
+    D[..., 0, :] -= t
+    residual = np.sqrt(np.einsum("ab,...ai,...bi->...", body.S, D, D) / body.mass)
     return R, Y, residual
 
 

@@ -52,17 +52,17 @@ class MaterialParams:
     softening: float = 0.0
 
     def __post_init__(self):
-        if self.lam < 0:
+        if not self.lam >= 0:
             raise InvalidParameterError(f"lam must be >= 0, got {self.lam}")
-        if self.mu <= 0:
+        if not self.mu > 0:
             raise InvalidParameterError(f"mu must be > 0, got {self.mu}")
-        if self.epsilon <= 0:
+        if not self.epsilon > 0:
             raise InvalidParameterError(f"epsilon must be > 0, got {self.epsilon}")
-        if self.kM <= 0:
+        if not self.kM > 0:
             raise InvalidParameterError(f"kM must be > 0, got {self.kM}")
-        if self.self_gravity_k < 0:
+        if not self.self_gravity_k >= 0:
             raise InvalidParameterError(f"self_gravity_k must be >= 0, got {self.self_gravity_k}")
-        if self.softening < 0:
+        if not self.softening >= 0:
             raise InvalidParameterError(f"softening must be >= 0, got {self.softening}")
 
 

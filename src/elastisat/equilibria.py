@@ -48,7 +48,7 @@ from .errors import (
 )
 
 
-def equilibrium_velocity(body: ReferenceBody, q: np.ndarray, omega) -> np.ndarray:
+def equilibrium_velocity(q: np.ndarray, omega) -> np.ndarray:
     """Coefficients of the rigid velocity field zetadot = omega x zeta."""
     A = np.asarray(q, dtype=float).reshape(-1, 3)
     return (A @ skew(omega).T).reshape(-1)
@@ -80,7 +80,7 @@ def equilibrium_residual(
     W = skew(omega)
     grad_U = -conservative_force(body, DeformationState(q, np.zeros_like(q)), material)
     res_q = grad_U + (body.S @ A @ (W @ W)).reshape(-1)
-    v = equilibrium_velocity(body, q, omega)
+    v = equilibrium_velocity(q, omega)
     res_L = angular_momentum(body, DeformationState(q, v)) - np.asarray(L0, dtype=float)
     return np.concatenate([res_q, res_L])
 
@@ -113,7 +113,7 @@ def equilibrium_jacobian(
     A = q.reshape(-1, 3)
     W = skew(omega)
     dW = [skew(e) for e in np.eye(3)]
-    Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(body, q, omega))
+    Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(q, omega))
     SA = body.S @ A
     return np.block([
         [potential_hessian(body, q, material) + np.kron(body.S, W @ W),
@@ -130,7 +130,7 @@ def synchronous_guess(body: ReferenceBody, material: MaterialParams, orbit_radiu
     axes, so for a semi-axes-ordered ellipsoid the long axis points at
     the primary, which is the configuration the solver should refine.
     """
-    if orbit_radius <= 0.0:
+    if not orbit_radius > 0.0:
         raise InvalidParameterError("orbit radius must be positive")
     rate = np.sqrt(material.kM / orbit_radius**3)
     omega = np.array([0.0, 0.0, rate])
@@ -159,8 +159,7 @@ class RelativeEquilibrium:
 
     @property
     def velocity(self) -> np.ndarray:
-        A = self.q.reshape(-1, 3)
-        return (A @ skew(self.omega).T).reshape(-1)
+        return equilibrium_velocity(self.q, self.omega)
 
 
 def _radius_from_momentum(body: ReferenceBody, material: MaterialParams, L_mag: float) -> float:
@@ -285,7 +284,7 @@ def solve_relative_equilibrium(
 
     q_e = u[:nq]
     omega_e = u[nq:]
-    v_e = equilibrium_velocity(body, q_e, omega_e)
+    v_e = equilibrium_velocity(q_e, omega_e)
     state_e = DeformationState(q_e.copy(), v_e)
     bd = energy_breakdown(body, state_e, material)
     return RelativeEquilibrium(
@@ -520,7 +519,7 @@ def rigid_quadrupole_catalog(
     (the families stop being isolated).
     """
     rigid = RigidBodyModel.from_body(body) if isinstance(body, ReferenceBody) else body
-    if orbit_radius <= 0.0:
+    if not orbit_radius > 0.0:
         raise InvalidParameterError("orbit radius must be positive")
     moments = rigid.principal_moments
     scale = float(np.max(moments))

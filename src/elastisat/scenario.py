@@ -62,7 +62,7 @@ def _as_float(mapping: dict, key: str, path: str, default=None):
     if key not in mapping:
         return default
     value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
         raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
     return float(value)
 
@@ -72,7 +72,7 @@ def _as_vector(mapping: dict, key: str, path: str, length: int | None = None, de
         return default
     value = mapping[key]
     if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) for x in value
+        isinstance(x, (int, float)) and not isinstance(x, bool) and x == x for x in value
     ):
         raise ConfigError(f"{path}.{key} must be a list of numbers")
     if length is not None and len(value) != length:
@@ -322,14 +322,17 @@ def scenario_from_mapping(doc) -> Scenario:
 
     cls_sec = _require_mapping(doc.get("classifier", {}), "classifier")
     _check_keys(cls_sec, _CLASSIFIER_KEYS, "classifier")
-    thresholds = CaptureThresholds(
-        cdot_max=_as_float(cls_sec, "cdot_max", "classifier", default=1e-6),
-        spin_orbit_gap=_as_float(cls_sec, "spin_orbit_gap", "classifier", default=1e-3),
-        y_drift=_as_float(cls_sec, "y_drift", "classifier", default=1e-6),
-        shape_residual=_as_float(cls_sec, "shape_residual", "classifier", default=1e-6),
-        window_periods=_as_float(cls_sec, "window_periods", "classifier", default=5.0),
-        equilibrium_tol=_as_float(cls_sec, "equilibrium_tol", "classifier", default=1e-10),
-    )
+    try:
+        thresholds = CaptureThresholds(
+            cdot_max=_as_float(cls_sec, "cdot_max", "classifier", default=1e-6),
+            spin_orbit_gap=_as_float(cls_sec, "spin_orbit_gap", "classifier", default=1e-3),
+            y_drift=_as_float(cls_sec, "y_drift", "classifier", default=1e-6),
+            shape_residual=_as_float(cls_sec, "shape_residual", "classifier", default=1e-6),
+            window_periods=_as_float(cls_sec, "window_periods", "classifier", default=5.0),
+            equilibrium_tol=_as_float(cls_sec, "equilibrium_tol", "classifier", default=1e-10),
+        )
+    except InvalidParameterError as exc:
+        raise ConfigError(f"classifier: {exc}") from exc
 
     if "initial" not in doc:
         raise ConfigError("missing required section: initial")

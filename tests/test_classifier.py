@@ -8,6 +8,7 @@ from elastisat.dynamics import EnergyBreakdown, Trajectory, _build_trajectory
 from elastisat.errors import (
     ImpactProximityError,
     InsufficientDataError,
+    InvalidParameterError,
     SingularConfigurationError,
 )
 
@@ -188,3 +189,13 @@ def test_outcome_tags_are_the_variant_names():
     assert es.Outcome.IMPACT.value == "Impact"
     assert es.Outcome.UNBOUNDED.value == "Unbounded"
     assert es.Outcome.UNDETERMINED.value == "Undetermined"
+
+
+@pytest.mark.parametrize("name", [
+    "cdot_max", "spin_orbit_gap", "y_drift", "shape_residual", "window_periods", "equilibrium_tol",
+])
+@pytest.mark.parametrize("value", [-1.0, 0.0, np.nan])
+def test_thresholds_must_be_positive(name, value):
+    # a negative window once indexed an empty tail; a NaN gate passed silently
+    with pytest.raises(InvalidParameterError, match=name):
+        es.CaptureThresholds(**{name: value})

@@ -112,6 +112,15 @@ def test_config_errors_exit_2(tmp_path):
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing, "--out", out]) == 2
 
+    # values that would crash or hang a run are rejected when the scenario loads
+    for section, key, value in [
+        ("classifier", "window_periods", -1.0), ("classifier", "cdot_max", float("nan")),
+        ("integrator", "t_end", float("nan")), ("integrator", "t_end", float("inf")),
+        ("integrator", "record_every", float("nan")), ("integrator", "rel_tol", float("nan")),
+    ]:
+        cfg = _write(tmp_path / "value.yaml", _orbital_doc(**{section: {key: value}}))
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2, (section, key, value)
+
     # catalog requires an orbital initial section to fix the radius
     eq_doc = _orbital_doc(initial={"kind": "equilibrium", "orbit_radius": 3.0})
     cfg = _write(tmp_path / "eq.yaml", eq_doc)

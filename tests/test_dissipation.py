@@ -66,5 +66,6 @@ def test_max_cauchy_green_rate_zero_iff_rigid(triaxial, random_state):
 
 
 def test_negative_eta_rejected():
-    with pytest.raises(InvalidParameterError):
-        es.ViscosityParams(eta=-0.1)
+    for eta in (-0.1, np.nan):
+        with pytest.raises(InvalidParameterError):
+            es.ViscosityParams(eta=eta)

@@ -180,9 +180,14 @@ def test_settings_validation():
         es.IntegratorSettings(method="verlet")
     with pytest.raises(InvalidParameterError):
         es.IntegratorSettings(rel_tol=0.0)
-    # a zero step bound or impact radius would break the run, not the config
+    # a zero step bound or impact radius would break the run, not the config;
+    # NaN fails every check, and the sample grid needs a finite t_end and interval
     for bad in ({"max_step": 0.0}, {"max_step": -1.0}, {"impact_radius": 0.0},
                 {"impact_radius": -1.0}, {"escape_radius": 1e-2},
-                {"impact_radius": 2.0, "escape_radius": 1.0}):
+                {"impact_radius": 2.0, "escape_radius": 1.0},
+                {"t_end": np.nan}, {"t_end": np.inf}, {"record_every": np.nan},
+                {"record_every": np.inf}, {"rel_tol": np.nan}, {"abs_tol": np.nan},
+                {"max_step": np.nan}, {"impact_radius": np.nan}, {"escape_radius": np.nan}):
         with pytest.raises(InvalidParameterError):
             es.IntegratorSettings(**bad)
+

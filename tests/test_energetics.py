@@ -8,6 +8,7 @@ import elastisat as es
 from elastisat.body_model import require_regular
 from elastisat.dissipation import viscous_first_piola
 from elastisat.energetics import first_piola, generalized_force
+from elastisat.errors import InvalidParameterError
 
 
 def _total_potential(body, q, material):
@@ -212,3 +213,11 @@ def test_kernel_stress_force_matches_full_rule_quadrature(degree, random_state):
         P = first_piola(F, mat) + viscous_first_piola(F, Fdot, eta)
         full = np.einsum("q,qia,qam->mi", body.weights, P, body.Gm)
         assert np.linalg.norm(stress_force - full) <= 1e-13 * np.linalg.norm(full)
+
+
+
+@pytest.mark.parametrize("name", ["lam", "mu", "epsilon", "kM", "self_gravity_k", "softening"])
+@pytest.mark.parametrize("value", [-1.0, np.nan])
+def test_material_params_reject_negative_and_nan(name, value):
+    with pytest.raises(InvalidParameterError, match=name):
+        es.MaterialParams(**{name: value})

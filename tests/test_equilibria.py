@@ -80,7 +80,7 @@ def test_group_covariance_of_residual(triaxial, material):
 
 def test_equilibrium_velocity_matches_spin_field(triaxial, material):
     eq = _solve_at_radius(triaxial, material, 3.0)
-    v = equilibrium_velocity(triaxial, eq.q, eq.omega)
+    v = equilibrium_velocity(eq.q, eq.omega)
     assert np.allclose(v, eq.state.qdot, atol=1e-14)
     # the velocity field is omega x zeta at every material point
     st = es.DeformationState(eq.q, v)

@@ -5,10 +5,12 @@ The states are rigid placements of the triaxial body on orbits of radius
 self-gravity and viscosity are all switched on, so every term of the
 kernel is exercised; the Hessian property also runs with self-gravity off.
 The monitor functions are checked on stacks of such states against their
-values state by state.  The body's constant tables are checked at basis
-degrees 1 and 2 through the methods built on them: stress_divergence (the
-stress-adjoint table) against its defining adjoint identity, and
-solve_mass (the inverse Gram matrix) against the mass matrix.
+values state by state, and the spin fit and the comoving frame against
+sums over the full-rule nodes at degrees 1 and 2.  The body's constant
+tables are checked at basis degrees 1 and 2 through the methods built on
+them: stress_divergence (the stress-adjoint table) against its defining
+adjoint identity, and solve_mass (the inverse Gram matrix) against the
+mass matrix.
 """
 
 import dataclasses
@@ -39,17 +41,16 @@ def _rotations():
     return quats.map(lambda v: Rotation.from_quat(v).as_matrix())
 
 
-# (rotation, direction, radius, velocity, spin, q noise, qdot noise); the
-# noise has the length of the degree-1 coefficient vector.
-PLACEMENTS = st.tuples(
+# (rotation, direction, radius, velocity, spin) of a rigid placement, and
+# the placements with (q noise, qdot noise) of the degree-1 coefficient length.
+RIGID = (
     _rotations(),
     _vectors(3, 1.0).filter(lambda v: np.linalg.norm(v) > 0.1),
     st.floats(2.5, 8.0),
     _vectors(3, 0.5),
     _vectors(3, 0.5),
-    _vectors(12, 0.1),
-    _vectors(12, 0.3),
 )
+PLACEMENTS = st.tuples(*RIGID, _vectors(12, 0.1), _vectors(12, 0.3))
 
 
 def _state(body, placement):
@@ -165,6 +166,58 @@ def test_monitors_of_a_stack_are_the_monitors_of_each_state(triaxial, placements
         assert column.shape == expected.shape, name
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(column - expected)) <= 1e-13 * scale, name
+
+
+def _node_kinematics(body, state):
+    """Spin, orbital rate and comoving fit of one state as sums over the full-rule nodes.
+
+    The oracle for the Gram-matrix forms: I_c omega = L_c from node sums
+    about the barycenter, and the mass-weighted Kabsch rotation of scipy's
+    align_vectors with its misfit summed at the nodes.
+    """
+    m = body.node_masses
+    Z, Zdot = body.node_positions(state.q), body.node_positions(state.qdot)
+    c, cdot, xbar = m @ Z / body.mass, m @ Zdot / body.mass, m @ body.nodes / body.mass
+    rel, reld, x = Z - c, Zdot - cdot, body.nodes - xbar
+    I_c = np.eye(3) * (m @ np.vecdot(rel, rel)) - (m * rel.T) @ rel
+    spin = np.linalg.solve(I_c, m @ np.cross(rel, reld))
+    R = Rotation.align_vectors(rel, x, weights=m)[0].as_matrix()
+    misfit = rel - x @ R.T
+    return {
+        "omega_spin": spin, "omega_orbit": np.cross(c, cdot) / (c @ c), "R": R, "Y": R.T @ c - xbar,
+        "xi_residual": np.sqrt(m @ np.vecdot(misfit, misfit) / body.mass),
+    }
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), data=st.data())
+def test_kinematics_are_the_node_quadrature(degree, data):
+    # the spin fit and the comoving frame are Gram-matrix forms of the
+    # coefficient rows; the full rule integrates the same polynomial
+    # moments exactly, so both agree to round-off on single states and stacks
+    body = BODIES[degree]
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    placements = data.draw(st.lists(st.tuples(*RIGID, *noise), min_size=1, max_size=3))
+    states = [_state(body, p) for p in placements]
+    for state in states:
+        try:
+            require_regular(body, state)
+        except SingularConfigurationError:
+            assume(False)
+    stack = es.DeformationState(np.stack([s.q for s in states]), np.stack([s.qdot for s in states]))
+    oracle = [_node_kinematics(body, s) for s in states]
+    for state, expected in [*zip(states, oracle), (stack, None)]:
+        R, Y, residual = es.comoving_decomposition(body, state)
+        omega_spin, omega_orbit = es.instantaneous_spin(body, state)
+        got = {"omega_spin": omega_spin, "omega_orbit": omega_orbit,
+               "R": R, "Y": Y, "xi_residual": residual}
+        # round-off is relative to the size of the state the value comes from
+        rate, size = np.max(np.abs(state.qdot)), np.max(np.abs(state.q))
+        scale = {"omega_spin": rate, "omega_orbit": rate, "R": 1.0, "Y": size, "xi_residual": size}
+        for name, value in got.items():
+            want = np.stack([one[name] for one in oracle]) if expected is None else expected[name]
+            assert value.shape == want.shape, name
+            assert np.max(np.abs(value - want)) <= 1e-12 * scale[name], name
 
 
 @PROPERTY

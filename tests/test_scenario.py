@@ -2,6 +2,7 @@
 
 import copy
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from hypothesis import strategies as st
 
 import elastisat as es
 from elastisat import ConfigError
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def _doc(**overrides):
@@ -92,6 +95,18 @@ def test_unknown_keys_are_rejected(mutate):
         lambda d: d.update(
             initial={"kind": "equilibrium", "orbit_radius": 3.0, "perturbation": -1.0}
         ),
+        # NaN is no key's value; an infinite t_end or a negative window would break a run
+        lambda d: d["initial"].update(tangential_factor=float("nan")),
+        lambda d: d["body"].update(semi_axes=[1.0, float("nan"), 0.6]),
+        lambda d: d["body"].update(density=float("nan")),
+        lambda d: d.update(material={"mu": float("nan")}),
+        lambda d: d.update(viscosity={"eta": float("nan")}),
+        lambda d: d.update(integrator={"rel_tol": float("nan")}),
+        lambda d: d.update(integrator={"t_end": float("inf")}),
+        lambda d: d["initial"].update(orbit_radius=float("nan")),
+        lambda d: d["initial"].update(strain=[float("nan"), 0.0, 0.0]),
+        lambda d: d.update(classifier={"window_periods": -1.0}),
+        lambda d: d.update(classifier={"y_drift": float("nan")}),
     ],
 )
 def test_bad_values_are_rejected(mutate):
@@ -99,6 +114,16 @@ def test_bad_values_are_rejected(mutate):
     mutate(doc)
     with pytest.raises(ConfigError):
         es.scenario_from_mapping(doc)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name)
+def test_bundled_scenarios_load(path):
+    # a sweep file has a base and a sweep section, every other file is one scenario
+    if "sweep" in yaml.safe_load(path.read_text()):
+        base, parameter, values = es.load_sweep(path)
+        assert parameter and values
+    else:
+        assert isinstance(es.load_scenario(path), es.Scenario)
 
 
 def test_randomized_initials_require_a_seed():
