@@ -11,7 +11,9 @@ rules mapped onto the ellipsoid, two of them:
   the spin fit, the comoving frame) is a form in S and the coefficient
   rows. After that the full rule carries only gravity and self-gravity
   (1/|zeta| is not polynomial) and the pointwise checks: det Dzeta,
-  impact distance and the Cdot_max gauge;
+  impact distance and the Cdot_max gauge. The checks on Dzeta read only
+  the distinct rows of the full-rule gradient table: one row at basis
+  degree 1, where every node has the same Dzeta;
 - the stress rule, exact for total degree 4 (d - 1) with d the basis
   degree, carries the stress integrands. Dzeta has degree d - 1 in x, so
   the Saint Venant-Kirchhoff energy density, the Kelvin-Voigt dissipation
@@ -137,10 +139,15 @@ class ReferenceBody:
     monomials), for gravity and the pointwise checks. The stress rule keeps
     only its weights ``stress_weights`` and monomial gradients ``stress_Gm``.
 
-    Three constant tables are built once with the body: ``node_masses``
-    rho0 w_q at the full-rule nodes, ``S_inv`` the inverse of S
-    (solve_mass), and ``stress_adjoint`` (nm, 3 ns), whose entry
-    [a, 3s + j] is w_s d_j m_a(x_s) (stress_divergence).
+    Constant tables built once with the body: ``node_masses`` rho0 w_q at
+    the full-rule nodes; ``node_products`` (nq, nm^2), whose entry
+    [q, a nm + b] is P_qa P_qb (gravity and its Hessian); ``distinct_Gm``,
+    Gm[:1] when every node's row of Gm equals the first (basis degree 1)
+    and Gm itself otherwise (the pointwise checks); ``S_inv`` the inverse
+    of S (solve_mass); ``stress_adjoint`` (nm, 3 ns), whose entry
+    [a, 3s + j] is w_s d_j m_a(x_s) (stress_divergence); and
+    ``stress_block`` (ns, 2 nm, 6), whose entries [s, w nm + a, 3w + j]
+    are d_j m_a(x_s) for w = 0, 1 and zero elsewhere (the force kernel).
     """
 
     semi_axes: tuple[float, float, float]
@@ -159,8 +166,11 @@ class ReferenceBody:
     stress_weights: np.ndarray = field(repr=False)  # (ns,) stress-rule weights
     stress_Gm: np.ndarray = field(repr=False)       # (ns, 3, nm) stress-rule gradients
     node_masses: np.ndarray = field(repr=False)     # (nq,) rho0 * weights
+    node_products: np.ndarray = field(repr=False)   # (nq, nm^2) P_qa P_qb
+    distinct_Gm: np.ndarray = field(repr=False)     # (1 or nq, 3, nm) distinct rows of Gm
     S_inv: np.ndarray = field(repr=False)           # (nm, nm) inverse Gram matrix
     stress_adjoint: np.ndarray = field(repr=False)  # (nm, 3 ns) w_s grad m_a(x_s)
+    stress_block: np.ndarray = field(repr=False)    # (ns, 2 nm, 6) block-diagonal stress_Gm
 
     @property
     def n_modes(self) -> int:
@@ -179,9 +189,14 @@ class ReferenceBody:
         """Images zeta(x_q) of all quadrature nodes, shape (..., nq, 3) for q (..., 3N)."""
         return self.P @ _rows(q)
 
-    def node_gradients(self, q: np.ndarray) -> np.ndarray:
-        """Deformation gradients Dzeta(x_q) at the full-rule nodes, shape (..., nq, 3, 3)."""
-        return _gradients(self.Gm, q)
+    def distinct_gradients(self, q: np.ndarray) -> np.ndarray:
+        """The distinct deformation gradients over the full-rule nodes, shape (..., nd, 3, 3).
+
+        Dzeta(x_q) at the nodes of distinct_Gm: every full-rule node has one
+        of these nd gradients (nd = 1 at basis degree 1, nq otherwise), so a
+        minimum or maximum over them is one over all nodes.
+        """
+        return _gradients(self.distinct_Gm, q)
 
     def stress_gradients(self, q: np.ndarray) -> np.ndarray:
         """Deformation gradients Dzeta(x_s) at the stress-rule nodes, shape (..., ns, 3, 3)."""
@@ -299,6 +314,9 @@ def build_ellipsoid_body(
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"mass matrix is not positive definite: {exc}") from exc
     stress_Gm = _eval_monomial_gradients(exponents, stress_nodes)
+    ns, nm = len(stress_Gm), len(S)
+    stress_block = np.zeros((ns, 2, nm, 2, 3))
+    stress_block[:, 0, :, 0] = stress_block[:, 1, :, 1] = stress_Gm.transpose(0, 2, 1)
 
     return ReferenceBody(
         semi_axes=semi_axes,
@@ -317,8 +335,11 @@ def build_ellipsoid_body(
         stress_weights=stress_weights,
         stress_Gm=stress_Gm,
         node_masses=rho_w,
+        node_products=(P[:, :, None] * P[:, None, :]).reshape(len(P), -1),
+        distinct_Gm=Gm[:1] if np.all(Gm == Gm[0]) else Gm,
         S_inv=S_inv,
-        stress_adjoint=(stress_weights[:, None, None] * stress_Gm).reshape(-1, len(S)).T,
+        stress_adjoint=(stress_weights[:, None, None] * stress_Gm).reshape(-1, nm).T,
+        stress_block=stress_block.reshape(ns, 2 * nm, 6),
     )
 
 
@@ -374,19 +395,22 @@ def skew(v) -> np.ndarray:
 def require_regular(body: ReferenceBody, state: DeformationState, impact_radius: float = 0.0):
     """Raise unless det(Dzeta) > 0 at every node and no node is at/inside the impact radius.
 
-    A stack of states passes only if every one of them does. Returns (node
-    positions, node gradients) so callers can reuse them.
+    A stack of states passes only if every one of them does. The determinant
+    is taken once per distinct gradient. Returns (node positions, node
+    gradients) so callers can reuse them; at basis degree 1 the gradients
+    are the one distinct gradient broadcast over the nodes, a read-only view.
     """
     Z = body.node_positions(state.q)
-    F = body.node_gradients(state.q)
+    F = body.distinct_gradients(state.q)
     dets = det3(F)
+    repeat = len(body.nodes) // len(body.distinct_Gm)  # nodes per distinct gradient
     if np.any(dets <= 0.0):
         raise SingularConfigurationError(
-            f"det(Dzeta) <= 0 at {int(np.sum(dets <= 0.0))} quadrature node(s)"
+            f"det(Dzeta) <= 0 at {int(np.sum(dets <= 0.0)) * repeat} quadrature node(s)"
         )
     dmin = float(np.sqrt(np.min(np.einsum("...i,...i->...", Z, Z))))
     if dmin <= impact_radius:
         raise ImpactProximityError(
             f"material point at distance {dmin:.3e} <= impact radius {impact_radius:.3e}"
         )
-    return Z, F
+    return Z, F if repeat == 1 else np.broadcast_to(F, Z.shape + (3,))

@@ -11,7 +11,8 @@ vanishing exactly when the instantaneous motion is rigid (Cdot = 0), and
 the force exerts no net torque, so angular momentum is untouched. The
 force and the rate are both integrated on the body's stress rule, which
 is exact for these polynomial densities; the rigidity gauge
-max_cauchy_green_rate is a pointwise check and scans the full-rule nodes.
+max_cauchy_green_rate is a pointwise check and scans the full-rule nodes'
+distinct gradients (one at basis degree 1, where Dzeta is constant).
 Both monitors, like cauchy_green_rate itself, take a stack of states (or
 of gradients) along leading axes and return one value per state.
 """
@@ -80,5 +81,8 @@ def dissipation_rate(
 
 
 def max_cauchy_green_rate(body: ReferenceBody, state: DeformationState) -> float | np.ndarray:
-    """Largest Frobenius norm of Cdot over the full-rule nodes (rigidity gauge)."""
-    return np.sqrt(np.max(_squared_rate(state, body.node_gradients), axis=-1))
+    """Largest Frobenius norm of Cdot over the full-rule nodes (rigidity gauge).
+
+    The maximum runs over the nodes' distinct gradients, the same set of values.
+    """
+    return np.sqrt(np.max(_squared_rate(state, body.distinct_gradients), axis=-1))

@@ -4,11 +4,12 @@ The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
 matrix M = kron(S, I3), whose Gram inverse the body tabulates once.
 f - g comes from energetics.generalized_force, the one force kernel: f is
 the exact gradient force of the conservative potentials and g the viscous
-force. Each right-hand side takes the stress-rule gradients of q and qdot
-in one product and solves the mass matrix with one more. solve_ivp
-integrates it; termination is event-based (impact, escape ceiling, loss
-of regularity; the singular event state itself has no monitors and is
-not recorded), and the event that fires is logged at debug level.
+force. Each right-hand side passes the stacked (q, qdot) to the kernel
+and solves the mass matrix with one product. solve_ivp integrates it;
+termination is event-based (impact, escape ceiling, loss of regularity
+on the distinct node gradients; the singular event state itself has no
+monitors and is not recorded), and the event that fires is logged at
+debug level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
 the classifier reads. They are built in one pass, each monitor evaluated
@@ -153,9 +154,7 @@ def _take_rows(record, idx):
 
 def _accel(body, y, material, viscosity):
     """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3), of y = (q, qdot) (2, 3N)."""
-    F, Fdot = body.stress_gradients(y)
-    force = generalized_force(body, body.node_positions(y[0]), F, Fdot, material, viscosity.eta)
-    return body.solve_mass(force)
+    return body.solve_mass(generalized_force(body, y, material, viscosity.eta))
 
 
 def equations_of_motion(
@@ -250,6 +249,33 @@ def _build_trajectory(body, times, states, material, viscosity, termination, rea
     )
 
 
+def _termination_events(body: ReferenceBody, settings: IntegratorSettings):
+    """The terminal events (impact, escape, singular) of solve_ivp, in the order of their tags.
+
+    Each takes (t, y) and crosses zero downwards: the closest node reaches
+    the impact radius, the barycenter the escape ceiling, or the smallest
+    det(Dzeta) over the nodes' distinct gradients zero.
+    """
+    nq = body.n_modes
+
+    def impact_event(t, y):
+        Z = body.node_positions(y[:nq])
+        return float(np.sqrt(np.min(np.vecdot(Z, Z)))) - settings.impact_radius
+
+    def escape_event(t, y):
+        c = body.barycenter(y[:nq])
+        return settings.escape_radius - float(np.linalg.norm(c))
+
+    def singular_event(t, y):
+        return float(np.min(det3(body.distinct_gradients(y[:nq]))))
+
+    events = [impact_event, escape_event, singular_event]
+    for ev in events:
+        ev.terminal = True
+        ev.direction = -1.0
+    return events
+
+
 def integrate(
     body: ReferenceBody,
     state0: DeformationState,
@@ -274,21 +300,7 @@ def integrate(
         acc = _accel(body, y.reshape(2, nq), material, viscosity)
         return np.concatenate([y[nq:], acc.reshape(-1)])
 
-    def impact_event(t, y):
-        Z = body.node_positions(y[:nq])
-        return float(np.sqrt(np.min(np.vecdot(Z, Z)))) - settings.impact_radius
-
-    def escape_event(t, y):
-        c = body.barycenter(y[:nq])
-        return settings.escape_radius - float(np.linalg.norm(c))
-
-    def singular_event(t, y):
-        return float(np.min(det3(body.node_gradients(y[:nq]))))
-
-    events = [impact_event, escape_event, singular_event]
-    for ev in events:
-        ev.terminal = True
-        ev.direction = -1.0
+    events = _termination_events(body, settings)
 
     dt = min(settings.sample_interval, settings.t_end)
     n_samples = max(1, int(round(settings.t_end / dt)))

@@ -17,11 +17,17 @@ Cauchy-Green tensor only, hence frame-indifferent by construction. The
 One Green-strain and one S(E) routine feed the energy, its stress and
 the stress tangent. The energy and momentum monitors take a stack of
 states along leading axes and return one value per state.
+
+generalized_force is the one force kernel. Because S is linear, its
+total stress S(E) + eta Cdot is one affine map of the entries of F^T F
+and F^T Fdot, tabulated from S(E) and cauchy_green_rate once per
+material and viscosity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -199,35 +205,74 @@ def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray
 
 
 def generalized_force(
-    body: ReferenceBody, Z, F, Fdot, params: MaterialParams, eta: float = 0.0,
+    body: ReferenceBody, y, params: MaterialParams, eta: float = 0.0,
 ) -> np.ndarray:
     """The force kernel: f - g per monomial, shape (n_monomials, 3).
 
-    Z holds the full-rule node positions; F and Fdot are the deformation
-    and velocity gradients at the stress-rule nodes (Fdot is read only when
-    eta > 0). f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the
-    discretized potentials and g the Kelvin-Voigt force of viscosity eta.
-    The integrator, conservative_force and through it the Newton solver
-    and the spectrum all evaluate this.
+    y stacks the Galerkin coefficients (q, qdot), shape (2, 3N); with
+    eta = 0 qdot is not read and y may hold q alone, shape (1, 3N).
+    f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the discretized
+    potentials and g the Kelvin-Voigt force of viscosity eta. The
+    integrator, conservative_force and through it the Newton solver and
+    the spectrum all evaluate this.
 
-    Both stresses share the factor F: the total first Piola stress is
-    F (S(E) + eta Cdot), first_piola plus viscous_first_piola in one
-    product, and stress_divergence sums it on the stress rule. Gravity
-    uses the body's precomputed node masses.
+    Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
+    coefficient rows of q, and -dU_g/dzeta_q = c_q zeta_q with
+    c_q = -kM m_q / |zeta_q|^3. Its pullback sum_q P_qa c_q zeta_q is
+    (c @ node_products), reshaped to (nm, nm), times A. The radii are
+    |P A|^2 node by node, which keeps them exact to round-off at a node
+    close to the planet. Self-gravity pulls its node forces back through P.
+
+    Stress: one product of [A^T | Adot^T] with the body's stress_block
+    gives [F | Fdot] at every stress node, and one batched product
+    M = F^T [F | Fdot] = [C | W], C = F^T F, W = F^T Fdot. The total second
+    Piola stress S((C - I)/2) + eta (W + W^T), elastic plus viscous, is
+    affine in the entries of M: M_flat @ L + sigma0 (_stress_map).
+    stress_divergence sums the first Piola stress F Sigma on the stress rule.
     """
+    k = 2 if eta > 0.0 else 1
+    A = _rows(y[0])
+    nm = len(A)
     m = body.node_masses
-    # gravity: dU_g/dZ_q = kM m_q Z_q / |Z_q|^3
+    Z = body.P @ A
     r2 = np.vecdot(Z, Z)
-    dU_dZ = Z * (params.kM * m / (r2 * np.sqrt(r2)))[:, None]
+    # c_q; dividing by r2 and sqrt(r2) in turn rounds differently from one
+    # division by their product, and Newton's stop on seeds without a root
+    # depends on that round-off (tests/test_equilibria.py, draw 4)
+    c = -params.kM * m / r2 / np.sqrt(r2)
+    force = (c @ body.node_products).reshape(nm, nm) @ A
     if params.self_gravity_k > 0.0:
         inv, diff = _softened_inverse_distances(Z, params.softening)
         coeff = m[:, None] * m[None, :] * inv**3
-        dU_dZ += 2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff)
+        force -= body.P.T @ (2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff))
 
-    stress = _second_piola(_green_strain(F), params)
+    FFdot = y[:k].reshape(k * nm, 3).T @ body.stress_block[:, : k * nm, : 3 * k]
+    F = FFdot[..., :3]
+    L, sigma0 = _stress_map(params, eta)
+    sigma = (F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0
+    return force - body.stress_divergence(F @ sigma.reshape(-1, 3, 3))
+
+
+@lru_cache(maxsize=64)
+def _stress_map(params: MaterialParams, eta: float):
+    """(L, sigma0): the total second Piola stress as an affine map of M = F^T [F | Fdot].
+
+    Per node, Sigma = M_flat @ L + sigma0 with M_flat the entries of
+    M = [C | W] in row order, entry 6 i + 3 w + j for w = 0 (C) and 1 (W);
+    L is (18, 9). With eta = 0 only C enters, M = C and L is (9, 9). The
+    table is _second_piola and cauchy_green_rate evaluated on unit inputs,
+    so S(E) keeps its one formula. Cached per (MaterialParams, eta), and
+    read-only.
+    """
+    k = 2 if eta > 0.0 else 1
+    unit = np.eye(9 * k).reshape(-1, 3, k, 3)
+    L = _second_piola(0.5 * unit[:, :, 0], params)
     if eta > 0.0:
-        stress = stress + eta * cauchy_green_rate(F, Fdot)
-    return -(body.P.T @ dU_dZ) - body.stress_divergence(F @ stress)
+        L = L + eta * cauchy_green_rate(_I3, unit[:, :, 1])
+    tables = L.reshape(9 * k, 9), _second_piola(-0.5 * _I3, params).reshape(9)
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller through the cache
+    return tables
 
 
 def conservative_force(
@@ -235,8 +280,8 @@ def conservative_force(
     impact_radius: float = 0.0,
 ) -> np.ndarray:
     """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
-    Z, _ = require_regular(body, state, impact_radius)
-    return generalized_force(body, Z, body.stress_gradients(state.q), None, params).reshape(-1)
+    require_regular(body, state, impact_radius)
+    return generalized_force(body, state.q[None], params).reshape(-1)
 
 
 def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams) -> np.ndarray:
@@ -274,8 +319,8 @@ def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams
         P3 = np.kron(body.P, _I3)
         H -= 2.0 * (P3.T @ (B.reshape(3 * nq, 3 * nq) @ P3))
     # node-diagonal blocks: sum_q P_qa P_qb blocks_q
-    PP = (body.P[:, :, None] * body.P[:, None, :]).reshape(nq, nm * nm)
-    H += (PP.T @ blocks.reshape(nq, 9)).reshape(nm, nm, 3, 3).transpose(0, 2, 1, 3).reshape(n, n)
+    node_blocks = (body.node_products.T @ blocks.reshape(nq, 9)).reshape(nm, nm, 3, 3)
+    H += node_blocks.transpose(0, 2, 1, 3).reshape(n, n)
 
     # stored energy: column (b, k) is the force change along dF_s = e_k grad m_b(x_s)^T
     F = body.stress_gradients(q)

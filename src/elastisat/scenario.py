@@ -179,6 +179,11 @@ def _parse_initial(node, n_modes: int, has_seed: bool) -> dict:
             f"initial.kind must be one of {sorted(_INITIAL_KEYS)}, got {kind!r}"
         )
     _check_keys(section, _INITIAL_KEYS[kind], "initial")
+    for key, value in section.items():
+        # every initial value enters the state, so an infinite one would reach the solver
+        entries = value if isinstance(value, list) else [value]
+        if any(isinstance(x, float) and np.isinf(x) for x in entries):
+            raise ConfigError(f"initial.{key} must be finite, got {value!r}")
     out = {"kind": kind}
     if kind == "explicit":
         q = _as_vector(section, "q", "initial", length=n_modes)

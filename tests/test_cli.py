@@ -121,6 +121,26 @@ def test_config_errors_exit_2(tmp_path):
         cfg = _write(tmp_path / "value.yaml", _orbital_doc(**{section: {key: value}}))
         assert main(["simulate", "--config", cfg, "--out", out]) == 2, (section, key, value)
 
+    # an infinite initial value is rejected when the scenario loads, not by solve_ivp
+    inf = float("inf")
+    n_modes = 12
+    for initial in [
+        {"orbit_radius": inf}, {"spin_rate": -inf}, {"tangential_factor": inf},
+        {"radial_velocity": inf},
+        {"kind": "equilibrium", "orbit_radius": None, "L0": [0.0, 0.0, inf]},
+        {"kind": "explicit", "orbit_radius": None, "q": [inf] + [0.0] * (n_modes - 1),
+         "qdot": [0.0] * n_modes},
+        {"kind": "explicit", "orbit_radius": None, "q": [1.0] * n_modes,
+         "qdot": [0.0] * (n_modes - 1) + [-inf]},
+    ]:
+        doc = _orbital_doc(initial=initial)
+        doc["initial"] = {k: v for k, v in doc["initial"].items() if v is not None}
+        cfg = _write(tmp_path / "initial.yaml", doc)
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2, initial
+    # an unbounded step stays legal
+    cfg = _write(tmp_path / "step_inf.yaml", _orbital_doc(integrator={"max_step": inf}))
+    assert main(["simulate", "--config", cfg, "--out", out]) == 0
+
     # catalog requires an orbital initial section to fix the radius
     eq_doc = _orbital_doc(initial={"kind": "equilibrium", "orbit_radius": 3.0})
     cfg = _write(tmp_path / "eq.yaml", eq_doc)

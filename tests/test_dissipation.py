@@ -1,10 +1,11 @@
-"""Kelvin-Voigt viscous force: power identity and rigid-motion kernel."""
+"""Kelvin-Voigt viscous force: power identity, rigid-motion kernel and the rigidity gauge."""
 
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
+from elastisat.body_model import _gradients, det3
 from elastisat.errors import InvalidParameterError
 
 
@@ -69,3 +70,20 @@ def test_negative_eta_rejected():
     for eta in (-0.1, np.nan):
         with pytest.raises(InvalidParameterError):
             es.ViscosityParams(eta=eta)
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+def test_pointwise_checks_scan_the_same_values_as_every_node(degree, random_state):
+    # the distinct-gradient table holds exactly the values found at the
+    # full-rule nodes, so the maximum rate and the minimum det are bit-equal
+    body = es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=degree)
+    assert len(body.distinct_Gm) == (1 if degree == 1 else len(body.nodes))
+    rng = np.random.default_rng(127 + degree)
+    states = [random_state(body, rng, noise=0.1) for _ in range(4)]
+    stack = es.DeformationState(np.stack([s.q for s in states]), np.stack([s.qdot for s in states]))
+    F, Fdot = _gradients(body.Gm, stack.q), _gradients(body.Gm, stack.qdot)
+    Cdot = es.cauchy_green_rate(F, Fdot)
+    every_node = np.sqrt(np.max(np.einsum("...ij,...ij->...", Cdot, Cdot), axis=-1))
+    assert np.array_equal(es.max_cauchy_green_rate(body, stack), every_node)
+    assert np.array_equal(np.min(det3(body.distinct_gradients(stack.q)), axis=-1),
+                          np.min(det3(F), axis=-1))

@@ -3,7 +3,9 @@
 The states are rigid placements of the triaxial body on orbits of radius
 2.5 to 8 with bounded strain and strain-rate noise.  Material constants,
 self-gravity and viscosity are all switched on, so every term of the
-kernel is exercised; the Hessian property also runs with self-gravity off.
+kernel is exercised; the Hessian property also runs with self-gravity off,
+and the kernel is checked against its node-space formulas at degrees 1
+and 2, with and without viscosity and self-gravity.
 The monitor functions are checked on stacks of such states against their
 values state by state, and the spin fit and the comoving frame against
 sums over the full-rule nodes at degrees 1 and 2.  The body's constant
@@ -66,12 +68,10 @@ def _state(body, placement):
 
 def _kernel(body, state):
     try:
-        Z, _ = require_regular(body, state)
+        require_regular(body, state)
     except SingularConfigurationError:
         assume(False)
-    return generalized_force(
-        body, Z, body.stress_gradients(state.q), body.stress_gradients(state.qdot), MAT, ETA
-    )
+    return generalized_force(body, np.stack([state.q, state.qdot]), MAT, ETA)
 
 
 @PROPERTY
@@ -84,6 +84,54 @@ def test_kernel_exerts_no_torque(triaxial, placement):
     A = state.q.reshape(-1, 3)
     torque = np.cross(A, f).sum(axis=0)
     assert np.linalg.norm(torque) <= 1e-13 * np.linalg.norm(A) * np.linalg.norm(f)
+
+
+def _node_space_force(body, state, mat, eta):
+    """f - g from the node-space formulas: P^T of the node gravity forces and F (S(E) + eta Cdot).
+
+    The oracle for the kernel's node-product pullback and affine stress
+    map: planet gravity kM m Z / |Z|^3 and the double-counted softened pair
+    forces at the full-rule nodes, pulled back through P; the Saint
+    Venant-Kirchhoff plus Kelvin-Voigt first Piola stress at the stress
+    nodes, tested against the monomial gradients with the stress weights.
+    """
+    m = body.node_masses
+    Z = body.P @ state.q.reshape(-1, 3)
+    dU_dZ = mat.kM * m[:, None] * Z / np.linalg.norm(Z, axis=1)[:, None] ** 3
+    if mat.self_gravity_k > 0.0:
+        diff = Z[:, None, :] - Z[None, :, :]
+        inv3 = (np.sum(diff * diff, axis=-1) + mat.softening**2) ** -1.5
+        np.fill_diagonal(inv3, 0.0)
+        dU_dZ += 2.0 * mat.self_gravity_k * np.einsum("q,p,qp,qpi->qi", m, m, inv3, diff)
+    F = body.stress_gradients(state.q)
+    Fdot = body.stress_gradients(state.qdot)
+    E = 0.5 * (np.swapaxes(F, -1, -2) @ F - np.eye(3))
+    trE = np.trace(E, axis1=-2, axis2=-1)[:, None, None]
+    sigma = (mat.lam * trE * np.eye(3) + 2.0 * mat.mu * E) / mat.epsilon
+    W = np.swapaxes(F, -1, -2) @ Fdot
+    sigma = sigma + eta * (W + np.swapaxes(W, -1, -2))
+    stress = np.einsum("s,sij,sja->ai", body.stress_weights, F @ sigma, body.stress_Gm)
+    return -(body.P.T @ dU_dZ) - stress
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), eta=st.sampled_from([0.0, ETA]),
+       self_gravity=st.booleans(), data=st.data())
+def test_kernel_is_the_node_space_force(degree, eta, self_gravity, data):
+    # the node-product gravity pullback and the affine stress map of
+    # F^T [F | Fdot] are exact rewritings of the node-space formulas
+    body = BODIES[degree]
+    mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    state = _state(body, data.draw(st.tuples(*RIGID, *noise)))
+    try:
+        require_regular(body, state)
+    except SingularConfigurationError:
+        assume(False)
+    y = np.stack([state.q, state.qdot]) if eta > 0.0 else state.q[None]
+    kernel = generalized_force(body, y, mat, eta)
+    oracle = _node_space_force(body, state, mat, eta)
+    assert np.linalg.norm(kernel - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
 
 @PROPERTY
