@@ -17,6 +17,7 @@ import logging
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
@@ -101,18 +102,33 @@ def _equilibrium_doc(eq):
     }
 
 
-def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
-    """Run one scenario end to end and write monitors.csv + result.json."""
+@contextmanager
+def _phase(phases: dict, name: str):
+    """Record the wall time of the with-block as phases[name], in seconds."""
+    started = time.perf_counter()
+    yield
+    phases[name] = time.perf_counter() - started
+
+
+def _simulate_scenario(scenario: Scenario, outdir: Path, phases: dict) -> dict:
+    """Run one scenario end to end and write monitors.csv + result.json.
+
+    The wall time of each phase goes into phases (initial_state, integrate,
+    classify, write).
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    state0 = scenario.initial_state()
+    with _phase(phases, "initial_state"):
+        state0 = scenario.initial_state()
     log.info("integrating %s to t=%g with %s", scenario.name,
              scenario.settings.t_end, scenario.settings.method)
-    trajectory = integrate(
-        scenario.body, state0, scenario.material, scenario.viscosity, scenario.settings
-    )
-    verdict = classify_outcome(
-        scenario.body, trajectory, scenario.material, scenario.thresholds
-    )
+    with _phase(phases, "integrate"):
+        trajectory = integrate(
+            scenario.body, state0, scenario.material, scenario.viscosity, scenario.settings
+        )
+    with _phase(phases, "classify"):
+        verdict = classify_outcome(
+            scenario.body, trajectory, scenario.material, scenario.thresholds
+        )
 
     mons = trajectory.monitors
     H, L = mons.H, mons.L
@@ -144,22 +160,26 @@ def _simulate_scenario(scenario: Scenario, outdir: Path) -> dict:
             "L_drift_max": float(np.max(np.abs(L - L[0]))),
         },
     }
-    _write_monitor_csv(outdir / "monitors.csv", trajectory)
-    _write_json(outdir / "result.json", result)
+    with _phase(phases, "write"):
+        _write_monitor_csv(outdir / "monitors.csv", trajectory)
+        _write_json(outdir / "result.json", result)
     log.info("%s: %s (%s)", scenario.name, verdict.outcome.value, verdict.reason)
     return result
 
 
 def _cmd_simulate(args) -> int:
     started = time.perf_counter()
-    scenario = load_scenario(args.config)
+    phases = {}
+    with _phase(phases, "load"):
+        scenario = load_scenario(args.config)
     outdir = Path(args.out)
-    result = _simulate_scenario(scenario, outdir)
+    result = _simulate_scenario(scenario, outdir, phases)
     _write_manifest(
         outdir, scenario.config_hash(), ["monitors.csv", "result.json"],
         time.perf_counter() - started,
         extra={"H_drift_rel": result["audit"]["H_drift_rel"],
-               "L_drift_max": result["audit"]["L_drift_max"]},
+               "L_drift_max": result["audit"]["L_drift_max"],
+               "phases_s": phases},
     )
     print(f"{scenario.name}: {result['outcome']} ({result['reason']})")
     return 0
@@ -259,7 +279,7 @@ def _run_sweep_point(payload):
         scenario = scenario_from_mapping(doc)
         outdir.mkdir(parents=True, exist_ok=True)
         _write_json(outdir / "config.json", doc)
-        result = _simulate_scenario(scenario, outdir)
+        result = _simulate_scenario(scenario, outdir, {})
         return {
             "index": index,
             "outcome": result["outcome"],

@@ -2,14 +2,16 @@
 
 The reduced system is M qddot = f(q) - g(q, qdot) with the constant mass
 matrix M = kron(S, I3), whose Gram inverse the body tabulates once.
-f - g comes from energetics.generalized_force, the one force kernel: f is
-the exact gradient force of the conservative potentials and g the viscous
-force. Each right-hand side passes the stacked (q, qdot) to the kernel
-and solves the mass matrix with one product. solve_ivp integrates it;
-termination is event-based (impact, escape ceiling, loss of regularity
-on the distinct node gradients; the singular event state itself has no
-monitors and is not recorded), and the event that fires is logged at
-debug level.
+f - g comes from energetics.force_kernel, the one force kernel: f is the
+exact gradient force of the conservative potentials and g the viscous
+force. The right-hand side is built once per run (_rhs): it holds one
+kernel and the inverse Gram matrix, and each call passes the stacked
+(q, qdot) to the kernel and solves the mass matrix with one product into
+a fresh output array. solve_ivp integrates it; termination is event-based
+(impact, escape ceiling, loss of regularity on the distinct node
+gradients; the singular event state itself has no monitors and is not
+recorded), each event binds the body tables it reads once per run, and
+the event that fires is logged at debug level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
 the classifier reads. They are built in one pass, each monitor evaluated
@@ -21,16 +23,17 @@ pointwise checks read the full-rule nodes, and regularity is checked once.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .body_model import (DeformationState, ReferenceBody, _rows, det3, identity_coefficients,
-                         inertia, require_regular)
+from .body_model import (DeformationState, ReferenceBody, _gradients, _rows, det3,
+                         identity_coefficients, inertia, require_regular)
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
 from .energetics import (EnergyBreakdown, MaterialParams, angular_momentum, energy_breakdown,
-                         generalized_force)
+                         force_kernel)
 from .errors import InvalidParameterError
 
 MONITOR_COLUMNS = (
@@ -152,9 +155,26 @@ def _take_rows(record, idx):
     return replace(record, **rows)
 
 
-def _accel(body, y, material, viscosity):
-    """Acceleration coefficients M^-1 (f - g), shape (n_monomials, 3), of y = (q, qdot) (2, 3N)."""
-    return body.solve_mass(generalized_force(body, y, material, viscosity.eta))
+def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityParams):
+    """The right-hand side rhs(t, y) of the first-order system, set up once per run.
+
+    y = (q, qdot), shape (2 * 3N,); rhs returns (qdot, M^-1 (f - g)) in a
+    fresh array on every call, since solve_ivp keeps earlier stages (DOP853
+    reuses its last stage as the next step's first) and must not see them
+    overwritten.
+    """
+    kernel = force_kernel(body, material, viscosity.eta)
+    nq = body.n_modes
+    S_inv = body.S_inv
+
+    def rhs(t, y):
+        ydot = np.empty_like(y)
+        ydot[:nq] = y[nq:]
+        # solve_mass: one product with the inverse Gram matrix, into ydot
+        np.matmul(S_inv, kernel(y.reshape(2, nq)), out=ydot[nq:].reshape(-1, 3))
+        return ydot
+
+    return rhs
 
 
 def equations_of_motion(
@@ -166,8 +186,8 @@ def equations_of_motion(
 ):
     """(qdot, qddot) of the reduced system M qddot = f_conservative - g_viscous."""
     require_regular(body, state, impact_radius)
-    y = np.stack([state.q, state.qdot])
-    return state.qdot.copy(), _accel(body, y, material, viscosity).reshape(-1)
+    ydot = _rhs(body, material, viscosity)(0.0, np.concatenate([state.q, state.qdot]))
+    return ydot[:body.n_modes], ydot[body.n_modes:]
 
 
 def _about_barycenter(body: ReferenceBody, q: np.ndarray) -> np.ndarray:
@@ -254,20 +274,24 @@ def _termination_events(body: ReferenceBody, settings: IntegratorSettings):
 
     Each takes (t, y) and crosses zero downwards: the closest node reaches
     the impact radius, the barycenter the escape ceiling, or the smallest
-    det(Dzeta) over the nodes' distinct gradients zero.
+    det(Dzeta) over the nodes' distinct gradients zero. The body tables
+    they read are bound once; each value equals that of node_positions,
+    barycenter, np.min and np.linalg.norm exactly.
     """
     nq = body.n_modes
+    P, mu_vec, mass, distinct_Gm = body.P, body.mu_vec, body.mass, body.distinct_Gm
+    impact_radius, escape_radius = settings.impact_radius, settings.escape_radius
 
     def impact_event(t, y):
-        Z = body.node_positions(y[:nq])
-        return float(np.sqrt(np.min(np.vecdot(Z, Z)))) - settings.impact_radius
+        Z = P @ _rows(y[:nq])
+        return math.sqrt(np.vecdot(Z, Z).min()) - impact_radius
 
     def escape_event(t, y):
-        c = body.barycenter(y[:nq])
-        return settings.escape_radius - float(np.linalg.norm(c))
+        c = (mu_vec @ _rows(y[:nq])) / mass
+        return escape_radius - math.sqrt(c @ c)
 
     def singular_event(t, y):
-        return float(np.min(det3(body.distinct_gradients(y[:nq]))))
+        return float(det3(_gradients(distinct_Gm, y[:nq])).min())
 
     events = [impact_event, escape_event, singular_event]
     for ev in events:
@@ -293,13 +317,8 @@ def integrate(
     event records only its time, in termination_reason.
     """
     require_regular(body, state0, settings.impact_radius)
-    nq = body.n_modes
     y0 = np.concatenate([state0.q, state0.qdot])
-
-    def rhs(t, y):
-        acc = _accel(body, y.reshape(2, nq), material, viscosity)
-        return np.concatenate([y[nq:], acc.reshape(-1)])
-
+    rhs = _rhs(body, material, viscosity)
     events = _termination_events(body, settings)
 
     dt = min(settings.sample_interval, settings.t_end)

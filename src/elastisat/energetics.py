@@ -18,10 +18,12 @@ One Green-strain and one S(E) routine feed the energy, its stress and
 the stress tangent. The energy and momentum monitors take a stack of
 states along leading axes and return one value per state.
 
-generalized_force is the one force kernel. Because S is linear, its
-total stress S(E) + eta Cdot is one affine map of the entries of F^T F
-and F^T Fdot, tabulated from S(E) and cauchy_green_rate once per
-material and viscosity.
+force_kernel is the one force kernel: it takes every table of a body,
+material and viscosity once and returns kernel(y), so the integrator
+sets it up once per run; generalized_force is one call of it. Because S
+is linear, its total stress S(E) + eta Cdot is one affine map of the
+entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
+once per material and viscosity.
 """
 
 from __future__ import annotations
@@ -204,17 +206,18 @@ def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray
     return np.einsum("ab,...abi->...i", body.S, cross)
 
 
-def generalized_force(
-    body: ReferenceBody, y, params: MaterialParams, eta: float = 0.0,
-) -> np.ndarray:
-    """The force kernel: f - g per monomial, shape (n_monomials, 3).
+def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
+    """The force kernel of one (body, material, viscosity): kernel(y) = f - g per monomial.
 
+    Everything that depends only on the body, the material and eta is
+    taken once here; the returned kernel(y) has shape (n_monomials, 3).
     y stacks the Galerkin coefficients (q, qdot), shape (2, 3N); with
     eta = 0 qdot is not read and y may hold q alone, shape (1, 3N).
     f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the discretized
     potentials and g the Kelvin-Voigt force of viscosity eta. The
-    integrator, conservative_force and through it the Newton solver and
-    the spectrum all evaluate this.
+    integrator builds one kernel per run; generalized_force, and through it
+    conservative_force, the Newton solver and the spectrum, build one per
+    call. This is the only place the force arithmetic lives.
 
     Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
     coefficient rows of q, and -dU_g/dzeta_q = c_q zeta_q with
@@ -231,26 +234,44 @@ def generalized_force(
     stress_divergence sums the first Piola stress F Sigma on the stress rule.
     """
     k = 2 if eta > 0.0 else 1
-    A = _rows(y[0])
-    nm = len(A)
+    nm = body.basis.n_monomials
+    P, node_products = body.P, body.node_products
     m = body.node_masses
-    Z = body.P @ A
-    r2 = np.vecdot(Z, Z)
-    # c_q; dividing by r2 and sqrt(r2) in turn rounds differently from one
-    # division by their product, and Newton's stop on seeds without a root
-    # depends on that round-off (tests/test_equilibria.py, draw 4)
-    c = -params.kM * m / r2 / np.sqrt(r2)
-    force = (c @ body.node_products).reshape(nm, nm) @ A
-    if params.self_gravity_k > 0.0:
-        inv, diff = _softened_inverse_distances(Z, params.softening)
-        coeff = m[:, None] * m[None, :] * inv**3
-        force -= body.P.T @ (2.0 * params.self_gravity_k * np.einsum("qp,qpi->qi", coeff, diff))
-
-    FFdot = y[:k].reshape(k * nm, 3).T @ body.stress_block[:, : k * nm, : 3 * k]
-    F = FFdot[..., :3]
+    kM_m = -params.kM * m
+    block = body.stress_block[:, : k * nm, : 3 * k]
     L, sigma0 = _stress_map(params, eta)
-    sigma = (F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0
-    return force - body.stress_divergence(F @ sigma.reshape(-1, 3, 3))
+    stress_divergence = body.stress_divergence
+    self_gravity = params.self_gravity_k > 0.0
+    if self_gravity:
+        PT, mm, softening = P.T, m[:, None] * m[None, :], params.softening
+        two_k = 2.0 * params.self_gravity_k
+
+    def kernel(y):
+        A = y[0].reshape(nm, 3)
+        Z = P @ A
+        r2 = np.vecdot(Z, Z)
+        # c_q; dividing by r2 and sqrt(r2) in turn rounds differently from one
+        # division by their product, and Newton's stop on seeds without a root
+        # depends on that round-off (tests/test_equilibria.py, draw 4)
+        c = kM_m / r2 / np.sqrt(r2)
+        force = (c @ node_products).reshape(nm, nm) @ A
+        if self_gravity:
+            inv, diff = _softened_inverse_distances(Z, softening)
+            force -= PT @ (two_k * np.einsum("qp,qpi->qi", mm * inv**3, diff))
+
+        FFdot = y[:k].reshape(k * nm, 3).T @ block
+        F = FFdot[..., :3]
+        sigma = (F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0
+        return force - stress_divergence(F @ sigma.reshape(-1, 3, 3))
+
+    return kernel
+
+
+def generalized_force(
+    body: ReferenceBody, y, params: MaterialParams, eta: float = 0.0,
+) -> np.ndarray:
+    """f - g per monomial of y = (q, qdot) (2, 3N), or q[None] at eta = 0: force_kernel's."""
+    return force_kernel(body, params, eta)(y)
 
 
 @lru_cache(maxsize=64)

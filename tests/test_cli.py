@@ -68,6 +68,12 @@ def test_simulate_writes_monitors_result_and_manifest(tmp_path, capsys):
     for name, digest in manifest["outputs"].items():
         assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
     assert manifest["wall_time_s"] > 0.0
+    # wall time per phase, in the manifest only (the other outputs stay deterministic)
+    phases = manifest["phases_s"]
+    assert set(phases) == {"load", "initial_state", "integrate", "classify", "write"}
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_s"]
+    assert "phases_s" not in result
 
 
 def test_simulate_conservative_manifest_reports_energy_drift(tmp_path):
@@ -111,6 +117,12 @@ def test_config_errors_exit_2(tmp_path):
 
     missing = str(tmp_path / "nope.yaml")
     assert main(["simulate", "--config", missing, "--out", out]) == 2
+
+    # a file that is not UTF-8 text, and a directory, are configuration errors too
+    not_text = tmp_path / "binary.yaml"
+    not_text.write_bytes(b"name: \xff\xfe\n")
+    assert main(["simulate", "--config", str(not_text), "--out", out]) == 2
+    assert main(["simulate", "--config", str(tmp_path), "--out", out]) == 2
 
     # values that would crash or hang a run are rejected when the scenario loads
     for section, key, value in [

@@ -126,8 +126,13 @@ def test_rk45_agrees_with_dop853(triaxial):
 @pytest.mark.parametrize("method", ["dop853", "rk45"])
 def test_trajectory_counts_every_rhs_call(triaxial, monkeypatch, method):
     calls = []
-    accel = dynamics._accel
-    monkeypatch.setattr(dynamics, "_accel", lambda *args: calls.append(1) or accel(*args))
+    build = dynamics._rhs
+
+    def counting_rhs(*args):
+        rhs = build(*args)
+        return lambda t, y: calls.append(1) or rhs(t, y)
+
+    monkeypatch.setattr(dynamics, "_rhs", counting_rhs)
     settings = es.IntegratorSettings(method=method, t_end=0.5, record_every=0.25, max_step=0.05)
     traj = es.integrate(triaxial, _orbit_state(triaxial), EPS3, es.ViscosityParams(0.3), settings)
     assert traj.nfev == len(calls) > 0

@@ -5,7 +5,9 @@ The states are rigid placements of the triaxial body on orbits of radius
 self-gravity and viscosity are all switched on, so every term of the
 kernel is exercised; the Hessian property also runs with self-gravity off,
 and the kernel is checked against its node-space formulas at degrees 1
-and 2, with and without viscosity and self-gravity.
+and 2, with and without viscosity and self-gravity.  The integrator's
+prebuilt right-hand side and terminal events are checked, in the same
+cases, to equal the per-call formulas bit for bit.
 The monitor functions are checked on stacks of such states against their
 values state by state, and the spin fit and the comoving frame against
 sums over the full-rule nodes at degrees 1 and 2.  The body's constant
@@ -24,7 +26,8 @@ from hypothesis.extra.numpy import arrays
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
-from elastisat.body_model import require_regular
+from elastisat.body_model import det3, require_regular
+from elastisat.dynamics import _rhs, _termination_events
 from elastisat.energetics import conservative_force, generalized_force, potential_hessian
 from elastisat.errors import SingularConfigurationError
 
@@ -132,6 +135,38 @@ def test_kernel_is_the_node_space_force(degree, eta, self_gravity, data):
     kernel = generalized_force(body, y, mat, eta)
     oracle = _node_space_force(body, state, mat, eta)
     assert np.linalg.norm(kernel - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), eta=st.sampled_from([0.0, ETA]),
+       self_gravity=st.booleans(), data=st.data())
+def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gravity, data):
+    # _rhs and _termination_events bind their tables once per run; every
+    # value must still be bit for bit the one of the per-call formulas
+    body = BODIES[degree]
+    mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    state = _state(body, data.draw(st.tuples(*RIGID, *noise)))
+    try:
+        require_regular(body, state)
+    except SingularConfigurationError:
+        assume(False)
+    y = np.concatenate([state.q, state.qdot])
+    accel = body.solve_mass(generalized_force(body, np.stack([state.q, state.qdot]), mat, eta))
+    expected = np.concatenate([state.qdot, accel.reshape(-1)])
+    rhs = _rhs(body, mat, es.ViscosityParams(eta))
+    first, second = rhs(0.0, y), rhs(0.0, y)
+    assert np.array_equal(first, expected)
+    # a fresh array per call: solve_ivp keeps earlier stages
+    second[:] = 0.0
+    assert np.array_equal(first, expected)
+
+    settings_ = es.IntegratorSettings(impact_radius=0.5, escape_radius=20.0)
+    impact, escape, singular = _termination_events(body, settings_)
+    Z = body.node_positions(state.q)
+    assert impact(0.0, y) == float(np.sqrt(np.min(np.vecdot(Z, Z)))) - 0.5
+    assert escape(0.0, y) == 20.0 - float(np.linalg.norm(body.barycenter(state.q)))
+    assert singular(0.0, y) == float(np.min(det3(body.distinct_gradients(state.q))))
 
 
 @PROPERTY

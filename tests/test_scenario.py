@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import elastisat as es
 from elastisat import ConfigError
+from elastisat import scenario as scenario_module
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
@@ -124,6 +125,28 @@ def test_bundled_scenarios_load(path):
         assert parameter and values
     else:
         assert isinstance(es.load_scenario(path), es.Scenario)
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIOS.glob("*.yaml")), ids=lambda p: p.name)
+def test_libyaml_and_python_loaders_read_the_same_documents(path):
+    text = path.read_text()
+    doc = yaml.load(text, Loader=yaml.SafeLoader)
+    assert yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) == doc
+    if "sweep" in doc:
+        assert es.load_sweep(path) == (doc["base"], doc["sweep"]["parameter"],
+                                       doc["sweep"]["values"])
+    else:
+        assert es.load_scenario(path).config_hash() == es.scenario_from_mapping(doc).config_hash()
+
+
+def test_python_loader_fallback_reads_and_rejects_yaml(tmp_path, monkeypatch):
+    monkeypatch.setattr(scenario_module, "_YAML_LOADER", yaml.SafeLoader)
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(_doc(name="fallback")))
+    assert es.load_scenario(path).name == "fallback"
+    path.write_text("integrator: [unclosed\n")
+    with pytest.raises(ConfigError, match="could not parse"):
+        es.load_scenario(path)
 
 
 def test_randomized_initials_require_a_seed():

@@ -4,11 +4,14 @@
 
 Times, with one BLAS thread:
 
-- ``dynamics._accel``, the integrator's right-hand side without
-  solve_ivp's own overhead (perfbench's ``dynamics.rhs_us`` includes it);
+- ``rhs``, the right-hand side ``dynamics._rhs`` builds once per run and
+  solve_ivp calls at every stage, without solve_ivp's own overhead
+  (perfbench's ``dynamics.rhs_us`` includes it);
 - ``energetics.conservative_force`` and ``energetics.potential_hessian``,
   what Newton and the spectrum call;
-- the integrator's three terminal events (impact, escape, singular).
+- the integrator's three terminal events (impact, escape, singular), each
+  and their sum ``events``, which solve_ivp evaluates once per accepted
+  step.
 
 Each routine runs on the equilibrium start of ``scenarios/capture.yaml``
 (basis degree 1, the benchmark's state) and on the same scenario at basis
@@ -31,7 +34,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
-from elastisat.dynamics import _accel, _termination_events  # noqa: E402
+from elastisat.dynamics import _rhs, _termination_events  # noqa: E402
 from elastisat.energetics import conservative_force, potential_hessian  # noqa: E402
 from elastisat.scenario import scenario_from_mapping  # noqa: E402
 
@@ -45,14 +48,17 @@ def _calls(degree: int) -> dict:
     sc = scenario_from_mapping(doc)
     body, mat = sc.body, sc.material
     state = sc.initial_state()
-    y = np.stack([state.q, state.qdot])
+    y = np.concatenate([state.q, state.qdot])
+    rhs = _rhs(body, mat, sc.viscosity)
     calls = {
-        "_accel": lambda: _accel(body, y, mat, sc.viscosity),
+        "rhs": lambda: rhs(0.0, y),
         "conservative_force": lambda: conservative_force(body, state, mat),
         "potential_hessian": lambda: potential_hessian(body, state.q, mat),
     }
-    for event in _termination_events(body, sc.settings):
-        calls[event.__name__] = lambda event=event: event(0.0, y.reshape(-1))
+    events = _termination_events(body, sc.settings)
+    for event in events:
+        calls[event.__name__] = lambda event=event: event(0.0, y)
+    calls["events"] = lambda: [event(0.0, y) for event in events]
     return calls
 
 
