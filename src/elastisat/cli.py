@@ -86,20 +86,14 @@ def _write_manifest(outdir: Path, config_hash: str, outputs, wall_time: float, e
     _write_json(outdir / "manifest.json", manifest)
 
 
-def _equilibrium_doc(eq):
-    if eq is None:
-        return None
-    return {
-        "q": eq.q,
-        "omega": eq.omega,
-        "L": eq.L,
-        "residual_norm": eq.residual_norm,
-        "iterations": eq.iterations,
-        "residual_trace": eq.residual_trace,
-        "energy": eq.energy,
-        "augmented_energy": eq.augmented_energy,
-        "orbit_radius": eq.orbit_radius,
-    }
+def _output_dir(path) -> Path:
+    """The --out directory, made if missing; a path that cannot be one is a config error."""
+    outdir = Path(path)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {path} cannot be an output directory: {exc}") from exc
+    return outdir
 
 
 @contextmanager
@@ -116,7 +110,6 @@ def _simulate_scenario(scenario: Scenario, outdir: Path, phases: dict) -> dict:
     The wall time of each phase goes into phases (initial_state, integrate,
     classify, write).
     """
-    outdir.mkdir(parents=True, exist_ok=True)
     with _phase(phases, "initial_state"):
         state0 = scenario.initial_state()
     log.info("integrating %s to t=%g with %s", scenario.name,
@@ -144,7 +137,7 @@ def _simulate_scenario(scenario: Scenario, outdir: Path, phases: dict) -> dict:
         "t_impact": verdict.t_impact,
         "metrics": None if verdict.metrics is None else asdict(verdict.metrics),
         "thresholds": asdict(scenario.thresholds),
-        "equilibrium": _equilibrium_doc(verdict.equilibrium),
+        "equilibrium": None if verdict.equilibrium is None else asdict(verdict.equilibrium),
         "samples": len(trajectory),
         "t_final": float(trajectory.times[-1]),
         "counters": {"nfev": trajectory.nfev, "njev": trajectory.njev},
@@ -172,7 +165,7 @@ def _cmd_simulate(args) -> int:
     phases = {}
     with _phase(phases, "load"):
         scenario = load_scenario(args.config)
-    outdir = Path(args.out)
+    outdir = _output_dir(args.out)
     result = _simulate_scenario(scenario, outdir, phases)
     _write_manifest(
         outdir, scenario.config_hash(), ["monitors.csv", "result.json"],
@@ -188,23 +181,15 @@ def _cmd_simulate(args) -> int:
 def _cmd_equilibria(args) -> int:
     started = time.perf_counter()
     scenario = load_scenario(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
 
     L0, state0, omega0 = scenario.equilibrium_seed()
     eq = solve_relative_equilibrium(
         scenario.body, scenario.material, L0, state0=state0, omega0=omega0
     )
     report = nondegeneracy_spectrum(scenario.body, scenario.material, eq)
-    doc = _equilibrium_doc(eq)
-    doc["spectrum"] = {
-        "eigenvalues": report.eigenvalues,
-        "floor": report.floor,
-        "n_negative": report.n_negative,
-        "n_zero": report.n_zero,
-        "n_positive": report.n_positive,
-        "nondegenerate": report.nondegenerate,
-    }
+    doc = asdict(eq)
+    doc["spectrum"] = {**asdict(report), "nondegenerate": report.nondegenerate}
     doc["config_sha256"] = scenario.config_hash()
     _write_json(outdir / "equilibrium.json", doc)
     _write_manifest(outdir, scenario.config_hash(), ["equilibrium.json"],
@@ -229,8 +214,7 @@ def _cmd_catalog(args) -> int:
     scenario = load_scenario(args.config)
     if scenario.initial["kind"] != "orbital":
         raise ConfigError("catalog needs initial.kind orbital to fix the orbit radius")
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
     radius = scenario.initial["orbit_radius"]
     entries = rigid_quadrupole_catalog(scenario.body, scenario.material, radius)
 
@@ -311,8 +295,7 @@ _SUMMARY_COLUMNS = ("index", "value", "outcome", "termination", "reason",
 def _cmd_sweep(args) -> int:
     started = time.perf_counter()
     base, parameter, values = load_sweep(args.config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _output_dir(args.out)
 
     payloads = [
         (i, sweep_point(base, parameter, value, i), str(outdir))

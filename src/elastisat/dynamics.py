@@ -41,7 +41,7 @@ MONITOR_COLUMNS = (
     "Lx", "Ly", "Lz", "diss_rate", "Cdot_max", "Y_norm", "omega_norm",
 )
 
-_SCIPY_METHODS = {"dop853": "DOP853", "rk45": "RK45"}
+_SCIPY_METHODS = {"dop853": "DOP853"}
 
 log = logging.getLogger(__name__)
 
@@ -50,8 +50,8 @@ log = logging.getLogger(__name__)
 class IntegratorSettings:
     """Time-integration controls.
 
-    method: the solve_ivp scheme, 'dop853' (adaptive embedded RK, order 8,
-        default) or 'rk45' (adaptive embedded RK, order 5).
+    method: the solve_ivp scheme; 'dop853' (adaptive embedded RK, order 8)
+        is the one method.
     impact_radius: terminate when any material point gets this close to
         the planet; escape_radius: hard ceiling on the barycenter distance
         that stops runaway runs (classification happens downstream).

@@ -14,16 +14,20 @@ Stored energy is Saint Venant-Kirchhoff,
 with E = (F^T F - I)/2 and S the second Piola stress, a function of the
 Cauchy-Green tensor only, hence frame-indifferent by construction. The
 1/eps factor is the stiffness scale: smaller eps means a stiffer body.
-One Green-strain and one S(E) routine feed the energy, its stress and
-the stress tangent. The energy and momentum monitors take a stack of
-states along leading axes and return one value per state.
+One Green-strain and one S(E) routine feed the energy and its stress.
+The energy and momentum monitors take a stack of states along leading
+axes and return one value per state.
 
 force_kernel is the one force kernel: it takes every table of a body,
 material and viscosity once and returns kernel(y), so the integrator
 sets it up once per run; generalized_force is one call of it. Because S
 is linear, its total stress S(E) + eta Cdot is one affine map of the
 entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
-once per material and viscosity.
+once per material and viscosity. The kernel carries its exact Jacobian
+in (q, qdot), kernel.jacobian(y), built on the same tables and the same
+affine map; potential_hessian is minus the Jacobian at eta = 0, so Newton
+and the nondegeneracy spectrum differentiate the kernel the integrator
+runs.
 """
 
 from __future__ import annotations
@@ -122,16 +126,6 @@ def first_piola(F, params: MaterialParams) -> np.ndarray:
     return np.matmul(F, _second_piola(_green_strain(F), params))
 
 
-def _first_piola_tangent(F, dF, params: MaterialParams) -> np.ndarray:
-    """Derivative of first_piola at F along dF: dF S + F S(dE), dE = sym(F^T dF).
-
-    F has shape (..., 3, 3) and dF broadcasts against it.
-    """
-    FtdF = F.mT @ dF
-    dE = 0.5 * (FtdF + FtdF.mT)
-    return dF @ _second_piola(_green_strain(F), params) + F @ _second_piola(dE, params)
-
-
 def kirchhoff_stress(x, F, params: MaterialParams) -> np.ndarray:
     """Kirchhoff stress tau[i,j] = F[i,a] dW/dF[j,a]; symmetric by frame indifference."""
     F = np.asarray(F, dtype=float)
@@ -207,17 +201,22 @@ def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray
 
 
 def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
-    """The force kernel of one (body, material, viscosity): kernel(y) = f - g per monomial.
+    """The force kernel of one (body, material, viscosity) and its exact Jacobian.
 
     Everything that depends only on the body, the material and eta is
-    taken once here; the returned kernel(y) has shape (n_monomials, 3).
-    y stacks the Galerkin coefficients (q, qdot), shape (2, 3N); with
-    eta = 0 qdot is not read and y may hold q alone, shape (1, 3N).
-    f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the discretized
-    potentials and g the Kelvin-Voigt force of viscosity eta. The
-    integrator builds one kernel per run; generalized_force, and through it
-    conservative_force, the Newton solver and the spectrum, build one per
-    call. This is the only place the force arithmetic lives.
+    taken once here; the returned kernel(y) = f - g per monomial has shape
+    (n_monomials, 3). y stacks the Galerkin coefficients (q, qdot), shape
+    (2, 3N); with eta = 0 qdot is not read and y may hold q alone, shape
+    (1, 3N). f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the
+    discretized potentials and g the Kelvin-Voigt force of viscosity eta.
+    kernel.jacobian(y) is d kernel / d y, shape (3N, k 3N) with k = 1 at
+    eta = 0 and 2 otherwise: column w 3N + 3b + j is the derivative along
+    y[w, 3b + j], row 3a + i that of kernel(y)[a, i]. At eta = 0 it is
+    minus potential_hessian; at eta > 0 it is the exact d(f - g)/d(q, qdot).
+    The integrator builds one kernel per run; generalized_force, and
+    through it conservative_force, the Newton solver and the spectrum,
+    build one per call. This is the only place the force arithmetic and
+    its derivative live.
 
     Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
     coefficient rows of q, and -dU_g/dzeta_q = c_q zeta_q with
@@ -225,6 +224,9 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     (c @ node_products), reshaped to (nm, nm), times A. The radii are
     |P A|^2 node by node, which keeps them exact to round-off at a node
     close to the planet. Self-gravity pulls its node forces back through P.
+    In the Jacobian, gravity's node blocks c_q (I - 3 zeta_q zeta_q^T / r^2)
+    are pulled back through node_products the same way, and self-gravity's
+    pair blocks, the Hessian of one softened pair term, through kron(P, I3).
 
     Stress: one product of [A^T | Adot^T] with the body's stress_block
     gives [F | Fdot] at every stress node, and one batched product
@@ -232,6 +234,10 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     Piola stress S((C - I)/2) + eta (W + W^T), elastic plus viscous, is
     affine in the entries of M: M_flat @ L + sigma0 (_stress_map).
     stress_divergence sums the first Piola stress F Sigma on the stress rule.
+    Along y[w, 3b + j], d[F | Fdot] is e_j times row w nm + b of
+    stress_block, so dM = dF^T [F | Fdot] + F^T d[F | Fdot],
+    dSigma = dM_flat @ L and d(F Sigma) = dF Sigma + F dSigma, summed by
+    stress_divergence for every direction at once.
     """
     k = 2 if eta > 0.0 else 1
     nm = body.basis.n_monomials
@@ -264,6 +270,57 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
         sigma = (F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0
         return force - stress_divergence(F @ sigma.reshape(-1, 3, 3))
 
+    def jacobian(y):
+        n = 3 * nm
+        A = y[0].reshape(nm, 3)
+        Z = P @ A
+        # gravity's node blocks c_q (I - 3 Z Z^T / r^2), flattened to 9 entries,
+        # and the pair blocks keep the rounding the Hessian has always had
+        # (einsum radii, one division by r2 sqrt(r2), k m_q m_p from the left),
+        # not the kernel's: Newton's stop on seeds without a root depends on
+        # it, and with the kernel's radii and c draw 10 of
+        # tests/test_equilibria.py runs out of iterations instead of stalling.
+        # -3 (c_q / r^2) Z Z^T first, then c_q on the diagonal: the same
+        # roundings as c_q I - 3 (c_q / r^2) Z Z^T, in fewer array passes.
+        r2 = np.einsum("qi,qi->q", Z, Z)
+        c = kM_m / (r2 * np.sqrt(r2))
+        blocks = (Z[:, :, None] @ Z[:, None, :]).reshape(-1, 9)
+        blocks *= -(3.0 * (c / r2))[:, None]
+        blocks[:, ::4] += c[:, None]
+        J = np.zeros((n, k * n))
+        Jq = J[:, :n]
+        if self_gravity:
+            inv, diff = _softened_inverse_distances(Z, softening)
+            s3 = params.self_gravity_k * m[:, None] * m[None, :] * inv**3
+            # sd[q, i, p] = 3 k m_q m_p d_i / s^5; sd @ diff sums its d d^T terms over p
+            sd = (3.0 * s3 * inv**2)[:, None, :] * np.ascontiguousarray(diff.transpose(0, 2, 1))
+            blocks -= 2.0 * (s3.sum(axis=1)[:, None, None] * _I3 - sd @ diff).reshape(-1, 9)
+            # the pair blocks laid out (q, i, p, j), so that they form the (3 nq, 3 nq) pair matrix
+            B = -(sd[:, :, :, None] * diff[:, None, :, :])
+            for i in range(3):
+                B[:, i, :, i] += s3
+            P3 = np.kron(P, _I3)
+            Jq += 2.0 * (P3.T @ (B.reshape(len(P3), -1) @ P3))
+        # node-diagonal blocks: sum_q P_qa P_qb blocks_q
+        node_blocks = (node_products.T @ blocks).reshape(nm, nm, 3, 3)
+        Jq += node_blocks.transpose(0, 2, 1, 3).reshape(n, n)
+
+        FFdot = y[:k].reshape(k * nm, 3).T @ block
+        F = FFdot[..., :3]
+        sigma = ((F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0).reshape(-1, 3, 3)
+        # along y[w, 3b + j], d[F | Fdot] at node s is e_j g^T with g = G[w nm + b, s],
+        # so dF^T [F | Fdot] and F^T d[F | Fdot] are the outer products below
+        # and dF Sigma has the one row g[:3] Sigma, in row j; axes (w nm + b, j, s, ., .)
+        G = block.transpose(1, 0, 2)
+        FFj = FFdot.transpose(1, 0, 2)[None, :, :, None, :]
+        dM = G[:, None, :, :3, None] * FFj + FFj.mT[..., :3, :] * G[:, None, :, None, :]
+        dsigma = dM.reshape(-1, 9 * k) @ L
+        dP = F @ dsigma.reshape(len(G), 3, -1, 3, 3)
+        dP += _I3[:, None, :, None] * (G[..., None, :3] @ sigma)[:, None]
+        J -= stress_divergence(dP).reshape(k * n, n).T
+        return J
+
+    kernel.jacobian = jacobian
     return kernel
 
 
@@ -309,45 +366,11 @@ def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams
     """Hessian of U_g + U_sg + U_e in the Galerkin coefficients, shape (3N, 3N).
 
     The exact derivative of the conservative part of generalized_force, on
-    the same rules. Per full-rule node, gravity contributes the block
-    kM m_q (I/r^3 - 3 Z Z^T/r^5); self-gravity adds the pair blocks
-    2 (delta_qp sum_r B_qr - B_qp), B_qp = k m_q m_p (I/s^3 - 3 d d^T/s^5)
-    the Hessian of one softened pair term. Both are pulled back through
-    zeta = P A. The stored energy contributes the stress-rule quadrature
-    of the Saint Venant-Kirchhoff tangent along every coefficient
-    direction (the tangent of first_piola, summed by stress_divergence).
+    the same rules: minus the force kernel's Jacobian at eta = 0.
     """
     q = np.asarray(q, dtype=float)
-    Z, _ = require_regular(body, DeformationState(q, np.zeros_like(q)))
-    n = q.size
-    nq, nm = body.P.shape
-    m = body.node_masses
-    r2 = np.einsum("qi,qi->q", Z, Z)
-    c3 = params.kM * m / (r2 * np.sqrt(r2))
-    ZZ = Z[:, :, None] * Z[:, None, :]
-    blocks = c3[:, None, None] * _I3 - 3.0 * (c3 / r2)[:, None, None] * ZZ
-    H = np.zeros((n, n))
-    if params.self_gravity_k > 0.0:
-        inv, diff = _softened_inverse_distances(Z, params.softening)
-        s3 = params.self_gravity_k * m[:, None] * m[None, :] * inv**3
-        # sd[q, i, p] = 3 k m_q m_p d_i / s^5; sd @ diff sums its d d^T terms over p
-        sd = (3.0 * s3 * inv**2)[:, None, :] * np.ascontiguousarray(diff.transpose(0, 2, 1))
-        blocks += 2.0 * (s3.sum(axis=1)[:, None, None] * _I3 - sd @ diff)
-        # B_qp laid out (q, i, p, j), so that it is the (3 nq, 3 nq) pair matrix
-        B = -(sd[:, :, :, None] * diff[:, None, :, :])
-        for i in range(3):
-            B[:, i, :, i] += s3
-        P3 = np.kron(body.P, _I3)
-        H -= 2.0 * (P3.T @ (B.reshape(3 * nq, 3 * nq) @ P3))
-    # node-diagonal blocks: sum_q P_qa P_qb blocks_q
-    node_blocks = (body.node_products.T @ blocks.reshape(nq, 9)).reshape(nm, nm, 3, 3)
-    H += node_blocks.transpose(0, 2, 1, 3).reshape(n, n)
-
-    # stored energy: column (b, k) is the force change along dF_s = e_k grad m_b(x_s)^T
-    F = body.stress_gradients(q)
-    dF = np.einsum("sjb,ik->bksij", body.stress_Gm, _I3).reshape(n, *F.shape)
-    H += body.stress_divergence(_first_piola_tangent(F, dF, params)).reshape(n, n).T
-    return H
+    require_regular(body, DeformationState(q, np.zeros_like(q)))
+    return -force_kernel(body, params).jacobian(q[None])
 
 
 def gravity_third_derivatives(Y, kM: float):

@@ -10,7 +10,8 @@ the closed system
 
 with v_e(q, omega) the rigid velocity field omega x zeta written in
 coefficients.  Newton uses the exact Jacobian of this system
-(equilibrium_jacobian, built on energetics.potential_hessian).  The
+(equilibrium_jacobian, built on energetics.potential_hessian, which is
+minus the force kernel's own Jacobian, force_kernel(...).jacobian).  The
 Jacobian is singular along the group orbit (rotations about L0), so each
 step is a least-squares step with one more row, the phase condition
 T0 . (u - u0) = 0 with T0 the orbit tangent at the seed u0: it pins where

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 import yaml
@@ -26,16 +26,6 @@ from .errors import ConfigError, InvalidParameterError
 
 _TOP_KEYS = {"name", "seed", "body", "material", "viscosity", "initial", "integrator", "classifier"}
 _BODY_KEYS = {"semi_axes", "density", "basis_degree", "quadrature_order"}
-_MATERIAL_KEYS = {"lam", "mu", "epsilon", "kM", "self_gravity_k", "softening"}
-_VISCOSITY_KEYS = {"eta"}
-_INTEGRATOR_KEYS = {
-    "method", "rel_tol", "abs_tol", "t_end", "max_step",
-    "record_every", "impact_radius", "escape_radius",
-}
-_CLASSIFIER_KEYS = {
-    "cdot_max", "spin_orbit_gap", "y_drift", "shape_residual",
-    "window_periods", "equilibrium_tol",
-}
 _INITIAL_KEYS = {
     "explicit": {"kind", "q", "qdot"},
     "orbital": {
@@ -78,6 +68,31 @@ def _as_vector(mapping: dict, key: str, path: str, length: int | None = None, de
     if length is not None and len(value) != length:
         raise ConfigError(f"{path}.{key} must have length {length}, got {len(value)}")
     return np.asarray(value, dtype=float)
+
+
+def _record(cls, doc: dict, section: str):
+    """The record cls built from doc's section: its fields are the allowed keys.
+
+    Every key is optional and a missing one keeps the field's default. A
+    string field (the integrator method) takes a string, every other field
+    a number; cls checks the ranges itself.
+    """
+    mapping = _require_mapping(doc.get(section, {}), section)
+    _check_keys(mapping, {f.name for f in fields(cls)}, section)
+    values = {}
+    for f in fields(cls):
+        if f.name not in mapping:
+            continue
+        if isinstance(f.default, str):
+            if not isinstance(mapping[f.name], str):
+                raise ConfigError(f"{section}.{f.name} must be a string")
+            values[f.name] = mapping[f.name]
+        else:
+            values[f.name] = _as_float(mapping, f.name, section)
+    try:
+        return cls(**values)
+    except InvalidParameterError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 @dataclass
@@ -285,59 +300,10 @@ def scenario_from_mapping(doc) -> Scenario:
     except InvalidParameterError as exc:
         raise ConfigError(f"body: {exc}") from exc
 
-    mat_sec = _require_mapping(doc.get("material", {}), "material")
-    _check_keys(mat_sec, _MATERIAL_KEYS, "material")
-    try:
-        material = MaterialParams(
-            lam=_as_float(mat_sec, "lam", "material", default=1.0),
-            mu=_as_float(mat_sec, "mu", "material", default=1.0),
-            epsilon=_as_float(mat_sec, "epsilon", "material", default=1.0),
-            kM=_as_float(mat_sec, "kM", "material", default=1.0),
-            self_gravity_k=_as_float(mat_sec, "self_gravity_k", "material", default=0.0),
-            softening=_as_float(mat_sec, "softening", "material", default=0.0),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"material: {exc}") from exc
-
-    visc_sec = _require_mapping(doc.get("viscosity", {}), "viscosity")
-    _check_keys(visc_sec, _VISCOSITY_KEYS, "viscosity")
-    try:
-        viscosity = ViscosityParams(eta=_as_float(visc_sec, "eta", "viscosity", default=0.0))
-    except InvalidParameterError as exc:
-        raise ConfigError(f"viscosity: {exc}") from exc
-
-    integ_sec = _require_mapping(doc.get("integrator", {}), "integrator")
-    _check_keys(integ_sec, _INTEGRATOR_KEYS, "integrator")
-    method = integ_sec.get("method", "dop853")
-    if not isinstance(method, str):
-        raise ConfigError("integrator.method must be a string")
-    try:
-        settings = IntegratorSettings(
-            method=method,
-            rel_tol=_as_float(integ_sec, "rel_tol", "integrator", default=1e-9),
-            abs_tol=_as_float(integ_sec, "abs_tol", "integrator", default=1e-11),
-            t_end=_as_float(integ_sec, "t_end", "integrator", default=1.0),
-            max_step=_as_float(integ_sec, "max_step", "integrator", default=np.inf),
-            record_every=_as_float(integ_sec, "record_every", "integrator"),
-            impact_radius=_as_float(integ_sec, "impact_radius", "integrator", default=1e-2),
-            escape_radius=_as_float(integ_sec, "escape_radius", "integrator", default=1e3),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"integrator: {exc}") from exc
-
-    cls_sec = _require_mapping(doc.get("classifier", {}), "classifier")
-    _check_keys(cls_sec, _CLASSIFIER_KEYS, "classifier")
-    try:
-        thresholds = CaptureThresholds(
-            cdot_max=_as_float(cls_sec, "cdot_max", "classifier", default=1e-6),
-            spin_orbit_gap=_as_float(cls_sec, "spin_orbit_gap", "classifier", default=1e-3),
-            y_drift=_as_float(cls_sec, "y_drift", "classifier", default=1e-6),
-            shape_residual=_as_float(cls_sec, "shape_residual", "classifier", default=1e-6),
-            window_periods=_as_float(cls_sec, "window_periods", "classifier", default=5.0),
-            equilibrium_tol=_as_float(cls_sec, "equilibrium_tol", "classifier", default=1e-10),
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"classifier: {exc}") from exc
+    material = _record(MaterialParams, doc, "material")
+    viscosity = _record(ViscosityParams, doc, "viscosity")
+    settings = _record(IntegratorSettings, doc, "integrator")
+    thresholds = _record(CaptureThresholds, doc, "classifier")
 
     if "initial" not in doc:
         raise ConfigError("missing required section: initial")

@@ -166,6 +166,20 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--out", out]) == 2
 
 
+@pytest.mark.parametrize("command", ["simulate", "equilibria", "catalog", "sweep"])
+def test_out_path_that_cannot_be_a_directory_exits_2(tmp_path, command):
+    doc = _orbital_doc()
+    if command == "sweep":
+        doc = {"base": doc, "sweep": {"parameter": "integrator.t_end", "values": [1.0]}}
+    cfg = _write(tmp_path / "run.yaml", doc)
+    existing = tmp_path / "existing.txt"
+    existing.write_text("kept\n")
+    # an existing file, and a path below one, cannot hold the outputs
+    for out in (existing, existing / "out"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2, out
+    assert existing.read_text() == "kept\n"
+
+
 def test_debug_log_names_the_event_and_leaves_outputs_unchanged(tmp_path, caplog):
     cfg = str(SCENARIOS / "impact.yaml")
     quiet, loud = tmp_path / "quiet", tmp_path / "debug"

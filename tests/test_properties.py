@@ -5,7 +5,10 @@ The states are rigid placements of the triaxial body on orbits of radius
 self-gravity and viscosity are all switched on, so every term of the
 kernel is exercised; the Hessian property also runs with self-gravity off,
 and the kernel is checked against its node-space formulas at degrees 1
-and 2, with and without viscosity and self-gravity.  The integrator's
+and 2, with and without viscosity and self-gravity. In the same cases the
+kernel's Jacobian is checked against a central difference of the kernel
+in (q, qdot) and, without viscosity, against the potentials' Hessian
+derived apart from the kernel.  The integrator's
 prebuilt right-hand side and terminal events are checked, in the same
 cases, to equal the per-call formulas bit for bit.
 The monitor functions are checked on stacks of such states against their
@@ -28,7 +31,8 @@ from scipy.spatial.transform import Rotation
 import elastisat as es
 from elastisat.body_model import det3, require_regular
 from elastisat.dynamics import _rhs, _termination_events
-from elastisat.energetics import conservative_force, generalized_force, potential_hessian
+from elastisat.energetics import (conservative_force, force_kernel, generalized_force,
+                                  potential_hessian)
 from elastisat.errors import SingularConfigurationError
 
 MAT = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
@@ -135,6 +139,79 @@ def test_kernel_is_the_node_space_force(degree, eta, self_gravity, data):
     kernel = generalized_force(body, y, mat, eta)
     oracle = _node_space_force(body, state, mat, eta)
     assert np.linalg.norm(kernel - oracle) <= 1e-13 * np.linalg.norm(oracle)
+
+
+def _separate_hessian(body, q, mat):
+    """Hessian of U_g + U_sg + U_e derived apart from the force kernel, shape (3N, 3N).
+
+    The oracle for the kernel's Jacobian at eta = 0: per full-rule node the
+    gravity block kM m (I/r^3 - 3 Z Z^T/r^5) and the softened pair blocks
+    B_qp = k m_q m_p (I/s^3 - 3 d d^T/s^5), entering as
+    2 (delta_qp sum_r B_qr - B_qp), pulled back through P; per stress node
+    the Saint Venant-Kirchhoff tangent dF S(E) + F S(sym(F^T dF)) along
+    every coefficient direction, tested against the monomial gradients.
+    """
+    n = q.size
+    m = body.node_masses
+    I3 = np.eye(3)
+    P3 = np.kron(body.P, I3)
+    Z = body.P @ q.reshape(-1, 3)
+    r = np.linalg.norm(Z, axis=1)[:, None, None]
+    ZZ = Z[:, :, None] * Z[:, None, :]
+    node = mat.kM * m[:, None, None] * (I3 / r**3 - 3.0 * ZZ / r**5)
+    pair = np.zeros((len(Z), 3, len(Z), 3))
+    if mat.self_gravity_k > 0.0:
+        d = Z[:, None, :] - Z[None, :, :]
+        s = np.sqrt(np.sum(d * d, axis=-1) + mat.softening**2)
+        np.fill_diagonal(s, np.inf)
+        kmm = (mat.self_gravity_k * m[:, None] * m[None, :])[..., None, None]
+        B = kmm * (I3 / s[..., None, None] ** 3
+                   - 3.0 * d[..., :, None] * d[..., None, :] / s[..., None, None] ** 5)
+        node += 2.0 * B.sum(axis=1)
+        pair -= 2.0 * B.transpose(0, 2, 1, 3)
+    pair[np.arange(len(Z)), :, np.arange(len(Z)), :] += node
+    H = P3.T @ pair.reshape(P3.shape[0], -1) @ P3
+
+    def S(E):
+        trE = np.trace(E, axis1=-2, axis2=-1)[..., None, None]
+        return (mat.lam * trE * I3 + 2.0 * mat.mu * E) / mat.epsilon
+
+    F = body.stress_gradients(q)
+    S_F = S(0.5 * (np.swapaxes(F, -1, -2) @ F - I3))
+    for col, e in enumerate(np.eye(n)):
+        dF = body.stress_gradients(e)
+        FtdF = np.swapaxes(F, -1, -2) @ dF
+        dP = dF @ S_F + F @ S(0.5 * (FtdF + np.swapaxes(FtdF, -1, -2)))
+        H[:, col] += np.einsum("s,sij,sja->ai", body.stress_weights, dP, body.stress_Gm).reshape(-1)
+    return H
+
+
+@PROPERTY
+@given(degree=st.sampled_from([1, 2]), eta=st.sampled_from([0.0, ETA]),
+       self_gravity=st.booleans(), data=st.data())
+def test_kernel_jacobian_is_the_kernel_derivative(degree, eta, self_gravity, data):
+    # d kernel / d (q, qdot) by columns: the qdot columns at eta > 0 are the
+    # exact viscous tangent, and at eta = 0 minus J is the potentials' Hessian
+    body = BODIES[degree]
+    mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    state = _state(body, data.draw(st.tuples(*RIGID, *noise)))
+    try:
+        require_regular(body, state)
+    except SingularConfigurationError:
+        assume(False)
+    y = np.stack([state.q, state.qdot]) if eta > 0.0 else state.q[None]
+    kernel = force_kernel(body, mat, eta)
+    J = kernel.jacobian(y)
+    assert J.shape == (body.n_modes, y.size)
+
+    h = 1e-6
+    steps = h * np.eye(y.size).reshape(-1, *y.shape)
+    J_fd = np.column_stack([(kernel(y + e) - kernel(y - e)).reshape(-1) / (2 * h) for e in steps])
+    assert np.linalg.norm(J - J_fd) <= 1e-7 * np.linalg.norm(J)
+    if eta == 0.0:
+        H = _separate_hessian(body, state.q, mat)
+        assert np.linalg.norm(J + H) <= 1e-13 * np.linalg.norm(H)
 
 
 @PROPERTY

@@ -357,7 +357,7 @@ SCENARIO_DOCS = st.fixed_dictionaries(
         "material": _optional(lam=st.floats(0.0, 3.0), mu=_POSITIVE, epsilon=_POSITIVE),
         "viscosity": _optional(eta=st.floats(0.0, 2.0)),
         "integrator": _optional(t_end=_POSITIVE, record_every=_POSITIVE,
-                                method=st.sampled_from(["dop853", "rk45"])),
+                                method=st.just("dop853")),
         "classifier": _optional(cdot_max=_POSITIVE, window_periods=_POSITIVE),
     },
 )
