@@ -270,8 +270,8 @@ class DeformationState:
 
 
 def build_ellipsoid_body(
-    semi_axes,
-    density_value: float = 1.0,
+    semi_axes: tuple[float, float, float],
+    density: float = 1.0,
     basis_degree: int = 1,
     quadrature_order: int = 8,
 ) -> ReferenceBody:
@@ -284,8 +284,8 @@ def build_ellipsoid_body(
     semi_axes = tuple(float(s) for s in semi_axes)
     if len(semi_axes) != 3 or not all(s > 0 for s in semi_axes):
         raise InvalidParameterError(f"semi-axes must be three positive lengths, got {semi_axes}")
-    if not density_value > 0:
-        raise InvalidParameterError(f"density must be positive, got {density_value}")
+    if not density > 0:
+        raise InvalidParameterError(f"density must be positive, got {density}")
     if basis_degree not in (1, 2):
         raise InvalidParameterError(f"basis_degree must be 1 or 2, got {basis_degree}")
     if quadrature_order < 2:
@@ -299,7 +299,7 @@ def build_ellipsoid_body(
 
     P = _eval_monomials(exponents, nodes)
     Gm = _eval_monomial_gradients(exponents, nodes)
-    rho_w = density_value * weights
+    rho_w = density * weights
     S = np.einsum("q,qa,qb->ab", rho_w, P, P)
     S = 0.5 * (S + S.T)
     mu_vec = rho_w @ P
@@ -320,7 +320,7 @@ def build_ellipsoid_body(
 
     return ReferenceBody(
         semi_axes=semi_axes,
-        density=density_value,
+        density=density,
         basis=basis,
         quadrature_order=quadrature_order,
         nodes=nodes,
@@ -390,6 +390,12 @@ def skew(v) -> np.ndarray:
     return np.array(
         [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
     )
+
+
+def axis_rotation(axis, angle: float) -> np.ndarray:
+    """Rotation matrix by angle about the unit vector axis (Rodrigues); the identity at angle 0."""
+    E = skew(axis)
+    return np.eye(3) + np.sin(angle) * E + (1.0 - np.cos(angle)) * (E @ E)
 
 
 def require_regular(body: ReferenceBody, state: DeformationState, impact_radius: float = 0.0):

@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .body_model import DeformationState, ReferenceBody, skew
+from .body_model import DeformationState, ReferenceBody, axis_rotation, skew
 from .dynamics import Trajectory, row_norms
 from .energetics import MaterialParams
 from .equilibria import RelativeEquilibrium, solve_relative_equilibrium
@@ -122,9 +122,9 @@ def group_orbit_distance(body: ReferenceBody, state: DeformationState, eq: Relat
     b = float(-np.trace(E @ E @ B))
     theta = np.arctan2(a, b)
 
-    # Rodrigues rotation about the momentum axis by the optimal angle,
-    # acting spatially: columns transform as A -> A R^T.
-    R = np.eye(3) + np.sin(theta) * E + (1.0 - np.cos(theta)) * (E @ E)
+    # the rotation about the momentum axis by the optimal angle, acting
+    # spatially: columns transform as A -> A R^T
+    R = axis_rotation(axis, theta)
     dA = Ae @ R.T - Af
     dV = Ve @ R.T - Vf
     d2 = float(np.einsum("ab,ai,bi->", S, dA, dA) + np.einsum("ab,ai,bi->", S, dV, dV))

@@ -31,7 +31,8 @@ from .equilibria import (
     solve_relative_equilibrium,
 )
 from .errors import ConfigError, ElastisatError
-from .scenario import Scenario, load_scenario, load_sweep, scenario_from_mapping, sweep_point
+from .scenario import (OrbitalStart, Scenario, load_scenario, load_sweep, scenario_from_mapping,
+                       sweep_point)
 
 log = logging.getLogger("elastisat")
 
@@ -212,10 +213,10 @@ _CATALOG_COLUMNS = (
 def _cmd_catalog(args) -> int:
     started = time.perf_counter()
     scenario = load_scenario(args.config)
-    if scenario.initial["kind"] != "orbital":
+    if not isinstance(scenario.initial, OrbitalStart):
         raise ConfigError("catalog needs initial.kind orbital to fix the orbit radius")
     outdir = _output_dir(args.out)
-    radius = scenario.initial["orbit_radius"]
+    radius = scenario.initial.orbit_radius
     entries = rigid_quadrupole_catalog(scenario.body, scenario.material, radius)
 
     with open(outdir / "catalog.csv", "w", newline="") as fh:

@@ -54,7 +54,7 @@ def viscous_force(
 ) -> np.ndarray:
     """Generalized viscous force g, to be subtracted from the conservative force.
 
-    The viscous half of energetics.generalized_force: the same nodal stress
+    The viscous half of energetics.force_kernel: the same nodal stress
     on the same stress rule as dissipation_rate, so qdot . g = -Hdot exactly.
     """
     if params.eta == 0.0:

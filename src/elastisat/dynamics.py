@@ -182,10 +182,9 @@ def equations_of_motion(
     state: DeformationState,
     material: MaterialParams,
     viscosity: ViscosityParams = ViscosityParams(0.0),
-    impact_radius: float = 0.0,
 ):
     """(qdot, qddot) of the reduced system M qddot = f_conservative - g_viscous."""
-    require_regular(body, state, impact_radius)
+    require_regular(body, state)
     ydot = _rhs(body, material, viscosity)(0.0, np.concatenate([state.q, state.qdot]))
     return ydot[:body.n_modes], ydot[body.n_modes:]
 

@@ -20,7 +20,7 @@ axes and return one value per state.
 
 force_kernel is the one force kernel: it takes every table of a body,
 material and viscosity once and returns kernel(y), so the integrator
-sets it up once per run; generalized_force is one call of it. Because S
+sets it up once per run; conservative_force is one call of it. Because S
 is linear, its total stress S(E) + eta Cdot is one affine map of the
 entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
 once per material and viscosity. The kernel carries its exact Jacobian
@@ -150,11 +150,10 @@ def _softened_inverse_distances(Z, softening):
 
 
 def gravitational_energy(
-    body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    impact_radius: float = 0.0,
+    body: ReferenceBody, state: DeformationState, params: MaterialParams
 ) -> float | np.ndarray:
     """U_g = quadrature of -kM rho0 / |zeta(x)| over the body."""
-    Z, _ = require_regular(body, state, impact_radius)
+    Z, _ = require_regular(body, state)
     return -params.kM * body.density * np.sum(body.weights / np.linalg.norm(Z, axis=-1), axis=-1)
 
 
@@ -213,10 +212,9 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     eta = 0 and 2 otherwise: column w 3N + 3b + j is the derivative along
     y[w, 3b + j], row 3a + i that of kernel(y)[a, i]. At eta = 0 it is
     minus potential_hessian; at eta > 0 it is the exact d(f - g)/d(q, qdot).
-    The integrator builds one kernel per run; generalized_force, and
-    through it conservative_force, the Newton solver and the spectrum,
-    build one per call. This is the only place the force arithmetic and
-    its derivative live.
+    The integrator builds one kernel per run; conservative_force, and
+    through it the Newton solver and the spectrum, build one per call.
+    This is the only place the force arithmetic and its derivative live.
 
     Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
     coefficient rows of q, and -dU_g/dzeta_q = c_q zeta_q with
@@ -324,13 +322,6 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     return kernel
 
 
-def generalized_force(
-    body: ReferenceBody, y, params: MaterialParams, eta: float = 0.0,
-) -> np.ndarray:
-    """f - g per monomial of y = (q, qdot) (2, 3N), or q[None] at eta = 0: force_kernel's."""
-    return force_kernel(body, params, eta)(y)
-
-
 @lru_cache(maxsize=64)
 def _stress_map(params: MaterialParams, eta: float):
     """(L, sigma0): the total second Piola stress as an affine map of M = F^T [F | Fdot].
@@ -354,19 +345,18 @@ def _stress_map(params: MaterialParams, eta: float):
 
 
 def conservative_force(
-    body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    impact_radius: float = 0.0,
+    body: ReferenceBody, state: DeformationState, params: MaterialParams
 ) -> np.ndarray:
     """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
-    require_regular(body, state, impact_radius)
-    return generalized_force(body, state.q[None], params).reshape(-1)
+    require_regular(body, state)
+    return force_kernel(body, params)(state.q[None]).reshape(-1)
 
 
 def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams) -> np.ndarray:
     """Hessian of U_g + U_sg + U_e in the Galerkin coefficients, shape (3N, 3N).
 
-    The exact derivative of the conservative part of generalized_force, on
-    the same rules: minus the force kernel's Jacobian at eta = 0.
+    The exact derivative of conservative_force, on the same rules: minus
+    the force kernel's Jacobian at eta = 0.
     """
     q = np.asarray(q, dtype=float)
     require_regular(body, DeformationState(q, np.zeros_like(q)))
@@ -396,11 +386,11 @@ def gravity_third_derivatives(Y, kM: float):
 
 def energy_breakdown(
     body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    dissipation_rate: float | np.ndarray = 0.0, impact_radius: float = 0.0,
+    dissipation_rate: float | np.ndarray = 0.0,
 ) -> EnergyBreakdown:
     """All conservative monitors of one state or a stack (dissipation rate supplied by caller)."""
     K = kinetic_energy(body, state)
-    U_g = gravitational_energy(body, state, params, impact_radius)
+    U_g = gravitational_energy(body, state, params)
     U_sg = self_gravity_energy(body, state, params)
     U_e = elastic_energy(body, state, params)
     return EnergyBreakdown(K=K, U_g=U_g, U_sg=U_sg, U_e=U_e, H=K + U_g + U_sg + U_e,

@@ -501,7 +501,7 @@ def _rigid_spectrum(rigid, R0, c, omega, kM, floor_rel):
 
 
 def rigid_quadrupole_catalog(
-    body,
+    body: ReferenceBody,
     material: MaterialParams,
     orbit_radius: float,
     degeneracy_tol: float = 1e-8,
@@ -519,7 +519,7 @@ def rigid_quadrupole_catalog(
     Raises DegenerateCatalogError when two principal moments coincide
     (the families stop being isolated).
     """
-    rigid = RigidBodyModel.from_body(body) if isinstance(body, ReferenceBody) else body
+    rigid = RigidBodyModel.from_body(body)
     if not orbit_radius > 0.0:
         raise InvalidParameterError("orbit radius must be positive")
     moments = rigid.principal_moments

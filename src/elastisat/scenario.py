@@ -1,39 +1,42 @@
 """YAML scenario files: schema validation and initial-condition construction.
 
 A scenario fixes the body, material, viscosity, initial condition,
-integrator settings and classifier thresholds.  Validation is strict:
-unknown keys anywhere are rejected so a typo cannot silently fall back
-to a default.  The canonical JSON form of the document (sorted keys)
-is what gets hashed into run manifests.
+integrator settings and classifier thresholds. Every section is a record:
+the keyword parameters of the callable that builds it (a dataclass, or
+build_ellipsoid_body for the body) are its keys, their defaults are the
+defaults, and their declared types say how a value is read. A parameter
+without a default is a required key. The record checks its own ranges.
+Validation is strict: an unknown key anywhere is rejected, so a typo
+cannot fall back to a default, and every number is finite unless the
+field's own default is infinite (only integrator.max_step). The canonical
+JSON form of the document (sorted keys) is what gets hashed into run
+manifests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
+from functools import lru_cache
+from types import UnionType
+from typing import get_args, get_origin
 
 import numpy as np
 import yaml
-from scipy.spatial.transform import Rotation
 
-from .body_model import DeformationState, ReferenceBody, build_ellipsoid_body, rigid_state
+from .body_model import (DeformationState, ReferenceBody, axis_rotation, build_ellipsoid_body,
+                         rigid_state)
 from .classifier import CaptureThresholds
 from .dissipation import ViscosityParams
 from .dynamics import IntegratorSettings
-from .energetics import MaterialParams
+from .energetics import MaterialParams, angular_momentum
+from .equilibria import synchronous_guess
 from .errors import ConfigError, InvalidParameterError
 
 _TOP_KEYS = {"name", "seed", "body", "material", "viscosity", "initial", "integrator", "classifier"}
-_BODY_KEYS = {"semi_axes", "density", "basis_degree", "quadrature_order"}
-_INITIAL_KEYS = {
-    "explicit": {"kind", "q", "qdot"},
-    "orbital": {
-        "kind", "orbit_radius", "spin_rate", "spin_factor", "tangential_factor",
-        "radial_velocity", "spin_axis", "rotation_angle", "strain", "jitter",
-    },
-    "equilibrium": {"kind", "L0", "orbit_radius", "perturbation", "spin_boost"},
-}
 
 
 def _require_mapping(node, path: str) -> dict:
@@ -48,51 +51,199 @@ def _check_keys(mapping: dict, allowed: set, path: str):
         raise ConfigError(f"unknown key(s) {unknown} under {path}; allowed: {sorted(allowed)}")
 
 
-def _as_float(mapping: dict, key: str, path: str, default=None):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value != value:
-        raise ConfigError(f"{path}.{key} must be a number, got {value!r}")
-    return float(value)
-
-
-def _as_vector(mapping: dict, key: str, path: str, length: int | None = None, default=None):
-    if key not in mapping:
-        return default
-    value = mapping[key]
-    if not isinstance(value, (list, tuple)) or not all(
-        isinstance(x, (int, float)) and not isinstance(x, bool) and x == x for x in value
-    ):
-        raise ConfigError(f"{path}.{key} must be a list of numbers")
-    if length is not None and len(value) != length:
-        raise ConfigError(f"{path}.{key} must have length {length}, got {len(value)}")
-    return np.asarray(value, dtype=float)
-
-
-def _record(cls, doc: dict, section: str):
-    """The record cls built from doc's section: its fields are the allowed keys.
-
-    Every key is optional and a missing one keeps the field's default. A
-    string field (the integrator method) takes a string, every other field
-    a number; cls checks the ranges itself.
-    """
-    mapping = _require_mapping(doc.get(section, {}), section)
-    _check_keys(mapping, {f.name for f in fields(cls)}, section)
-    values = {}
-    for f in fields(cls):
-        if f.name not in mapping:
-            continue
-        if isinstance(f.default, str):
-            if not isinstance(mapping[f.name], str):
-                raise ConfigError(f"{section}.{f.name} must be a string")
-            values[f.name] = mapping[f.name]
-        else:
-            values[f.name] = _as_float(mapping, f.name, section)
+def _as_float(value, path: str, infinite_ok: bool = False) -> float:
+    """value as a float: NaN never passes, and +-inf only where infinite_ok."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path} must be a number, got {value!r}")
     try:
-        return cls(**values)
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not (math.isfinite(number) or infinite_ok and number == number):
+        raise ConfigError(f"{path} must be a finite number, got {value!r}")
+    return number
+
+
+def _as_vector(value, path: str, length: int | None) -> tuple:
+    """value as a tuple of finite floats, of the given length unless that is None."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{path} must be a list of numbers")
+    if length is not None and len(value) != length:
+        raise ConfigError(f"{path} must have length {length}, got {len(value)}")
+    return tuple(_as_float(x, f"{path}[{i}]") for i, x in enumerate(value))
+
+
+def _read(value, kind, default, path: str):
+    """value read as the declared type kind: str, int, float or a tuple of floats.
+
+    An optional type (T | None) reads as T. A tuple[float, ...] has any
+    length, a tuple[float, float, float] three entries.
+    """
+    if isinstance(kind, UnionType):
+        (kind,) = (t for t in get_args(kind) if t is not type(None))
+    if kind is str or kind is int:
+        if type(value) is not kind:  # bool is no int here
+            raise ConfigError(f"{path} must be {'a string' if kind is str else 'an integer'}")
+        return value
+    if get_origin(kind) is tuple:
+        args = get_args(kind)
+        return _as_vector(value, path, None if args[-1] is Ellipsis else len(args))
+    return _as_float(value, path, infinite_ok=default == math.inf)
+
+
+@lru_cache(maxsize=16)
+def _parameters(build):
+    return inspect.signature(build, eval_str=True).parameters
+
+
+def _record(build, node, section: str):
+    """build(**values) from one section: build's keyword parameters are the allowed keys.
+
+    A missing key keeps the default build states, and a parameter without
+    one is required. Each value is read as the parameter's declared type;
+    build checks the ranges itself, and its InvalidParameterError becomes
+    a ConfigError.
+    """
+    mapping = _require_mapping(node, section)
+    parameters = _parameters(build)
+    _check_keys(mapping, set(parameters), section)
+    values = {}
+    for name, p in parameters.items():
+        if name in mapping:
+            values[name] = _read(mapping[name], p.annotation, p.default, f"{section}.{name}")
+        elif p.default is p.empty:
+            raise ConfigError(f"{section}.{name} is required")
+    try:
+        return build(**values)
     except InvalidParameterError as exc:
         raise ConfigError(f"{section}: {exc}") from exc
+
+
+def _kicked(state: DeformationState, amplitude: float, seed) -> DeformationState:
+    """state with a seeded Gaussian velocity kick of the given amplitude added, if positive."""
+    if amplitude > 0.0:
+        rng = np.random.default_rng(seed)
+        state.qdot = state.qdot + amplitude * rng.standard_normal(state.qdot.size)
+    return state
+
+
+def _synchronous_seed(body: ReferenceBody, material: MaterialParams, radius: float):
+    """(L0, state0, omega0): Newton from the rigid synchronous orbit at radius, at its momentum."""
+    guess, omega0 = synchronous_guess(body, material, radius)
+    return angular_momentum(body, guess), guess, omega0
+
+
+@dataclass(frozen=True)
+class OrbitalStart:
+    """initial kind orbital: a rigid body on a parameterized orbit.
+
+    The barycenter starts at (orbit_radius, 0, 0) with velocity
+    (radial_velocity, tangential_factor x circular speed, 0). The body is
+    turned by rotation_angle about spin_axis, prestretched by 1 + strain
+    along its own axes, and spins about spin_axis at spin_rate, or at
+    spin_factor (default 1) times the circular rate; the two are exclusive.
+    jitter > 0 adds a Gaussian velocity kick drawn from the scenario seed.
+    """
+
+    orbit_radius: float
+    spin_rate: float | None = None
+    spin_factor: float | None = None
+    tangential_factor: float = 1.0
+    radial_velocity: float = 0.0
+    spin_axis: tuple[float, float, float] = (0.0, 0.0, 1.0)
+    rotation_angle: float = 0.0
+    strain: tuple[float, float, float] | None = None
+    jitter: float = 0.0
+
+    def __post_init__(self):
+        if not self.orbit_radius > 0:
+            raise InvalidParameterError(f"orbit_radius must be > 0, got {self.orbit_radius}")
+        if self.spin_rate is not None and self.spin_factor is not None:
+            raise InvalidParameterError("spin_rate and spin_factor are mutually exclusive")
+        if np.linalg.norm(self.spin_axis) == 0.0:
+            raise InvalidParameterError("spin_axis must be nonzero")
+        if self.strain is not None and not min(self.strain) > -1:
+            raise InvalidParameterError(f"strain entries must be > -1, got {self.strain}")
+        if not self.jitter >= 0:
+            raise InvalidParameterError(f"jitter must be >= 0, got {self.jitter}")
+
+    def state(self, body: ReferenceBody, material: MaterialParams, seed) -> DeformationState:
+        r = self.orbit_radius
+        rate_circ = np.sqrt(material.kM / r**3)
+        axis = np.asarray(self.spin_axis) / np.linalg.norm(self.spin_axis)
+        spin_factor = 1.0 if self.spin_factor is None else self.spin_factor
+        spin = (spin_factor * rate_circ if self.spin_rate is None else self.spin_rate) * axis
+        R = axis_rotation(axis, self.rotation_angle)
+        if self.strain is not None:
+            R = R @ np.diag(1.0 + np.asarray(self.strain))
+        v0 = np.array([self.radial_velocity, self.tangential_factor * (r * rate_circ), 0.0])
+        state = rigid_state(body, rotation=R, translation=np.array([r, 0.0, 0.0]), velocity=v0,
+                            spin=spin)
+        return _kicked(state, self.jitter, seed)
+
+    def equilibrium_seed(self, body: ReferenceBody, material: MaterialParams, seed):
+        return _synchronous_seed(body, material, self.orbit_radius)
+
+
+@dataclass(frozen=True)
+class EquilibriumStart:
+    """initial kind equilibrium: the relative equilibrium at momentum L0, or at
+    the momentum of the rigid synchronous orbit at orbit_radius (exactly one).
+
+    spin_boost scales the velocity about the barycenter, a pure spin kick;
+    perturbation > 0 adds a Gaussian velocity kick drawn from the seed.
+    """
+
+    L0: tuple[float, float, float] | None = None
+    orbit_radius: float | None = None
+    perturbation: float = 0.0
+    spin_boost: float = 1.0
+
+    def __post_init__(self):
+        if (self.L0 is None) == (self.orbit_radius is None):
+            raise InvalidParameterError("kind equilibrium takes exactly one of L0 or orbit_radius")
+        if self.orbit_radius is not None and not self.orbit_radius > 0:
+            raise InvalidParameterError(f"orbit_radius must be > 0, got {self.orbit_radius}")
+        if not self.spin_boost > 0:
+            raise InvalidParameterError(f"spin_boost must be > 0, got {self.spin_boost}")
+        if not self.perturbation >= 0:
+            raise InvalidParameterError(f"perturbation must be >= 0, got {self.perturbation}")
+
+    def state(self, body: ReferenceBody, material: MaterialParams, seed) -> DeformationState:
+        """Runs the Newton solver, so this can raise NoConvergenceError."""
+        from .equilibria import solve_relative_equilibrium
+
+        L0, guess, omega0 = self.equilibrium_seed(body, material, seed)
+        state = solve_relative_equilibrium(body, material, L0, state0=guess, omega0=omega0).state
+        if self.spin_boost != 1.0:
+            # Scale the velocity field about the barycenter, leaving the
+            # barycenter velocity itself untouched: a pure spin kick.
+            qdot_const = rigid_state(body, velocity=body.barycenter(state.qdot)).qdot
+            state.qdot = qdot_const + self.spin_boost * (state.qdot - qdot_const)
+        return _kicked(state, self.perturbation, seed)
+
+    def equilibrium_seed(self, body: ReferenceBody, material: MaterialParams, seed):
+        if self.orbit_radius is not None:
+            return _synchronous_seed(body, material, self.orbit_radius)
+        return np.array(self.L0), None, None
+
+
+@dataclass(frozen=True)
+class ExplicitStart:
+    """initial kind explicit: the Galerkin coefficients q and qdot, one per mode."""
+
+    q: tuple[float, ...]
+    qdot: tuple[float, ...]
+
+    def state(self, body: ReferenceBody, material: MaterialParams, seed) -> DeformationState:
+        return DeformationState(np.array(self.q), np.array(self.qdot))
+
+    def equilibrium_seed(self, body: ReferenceBody, material: MaterialParams, seed):
+        state = self.state(body, material, seed)
+        return angular_momentum(body, state), state, None
+
+
+_STARTS = {"orbital": OrbitalStart, "equilibrium": EquilibriumStart, "explicit": ExplicitStart}
 
 
 @dataclass
@@ -106,7 +257,7 @@ class Scenario:
     viscosity: ViscosityParams
     settings: IntegratorSettings
     thresholds: CaptureThresholds
-    initial: dict
+    initial: OrbitalStart | EquilibriumStart | ExplicitStart
     doc: dict
 
     def canonical_json(self) -> str:
@@ -116,152 +267,17 @@ class Scenario:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()
 
     def initial_state(self) -> DeformationState:
-        """Build the initial DeformationState described by the initial section.
-
-        Equilibrium-seeded scenarios run the Newton solver here, so this
-        can raise NoConvergenceError on hostile parameters.
-        """
-        section = self.initial
-        kind = section["kind"]
-        if kind == "explicit":
-            return DeformationState(section["q"].copy(), section["qdot"].copy())
-        if kind == "orbital":
-            return self._orbital_state(section)
-        # equilibrium
-        from .equilibria import solve_relative_equilibrium
-
-        L0, guess, omega0 = self.equilibrium_seed()
-        eq = solve_relative_equilibrium(self.body, self.material, L0, state0=guess, omega0=omega0)
-        state = eq.state
-        if section["spin_boost"] != 1.0:
-            # Scale the velocity field about the barycenter, leaving the
-            # barycenter velocity itself untouched: a pure spin kick.
-            cdot = self.body.barycenter(state.qdot)
-            qdot_const = rigid_state(self.body, velocity=cdot).qdot
-            state.qdot = qdot_const + section["spin_boost"] * (state.qdot - qdot_const)
-        if section["perturbation"] > 0.0:
-            rng = np.random.default_rng(self.seed)
-            state.qdot = state.qdot + section["perturbation"] * rng.standard_normal(state.qdot.size)
-        return state
+        """The initial DeformationState; an equilibrium start runs Newton here."""
+        return self.initial.state(self.body, self.material, self.seed)
 
     def equilibrium_seed(self):
         """(L0, state0, omega0) that seed a relative-equilibrium solve for this scenario.
 
-        With an orbit radius (kind orbital, or equilibrium with
-        orbit_radius) Newton starts from the synchronous guess at that
-        radius; kind equilibrium with L0 leaves the start to the solver;
-        kind explicit targets the momentum of the explicit state.
+        An orbit radius (kind orbital, or equilibrium with orbit_radius)
+        seeds Newton with the synchronous orbit there; L0 leaves the start
+        to the solver; kind explicit targets its state's momentum.
         """
-        from .energetics import angular_momentum
-        from .equilibria import synchronous_guess
-
-        radius = self.initial.get("orbit_radius")
-        if radius is not None:
-            guess, omega0 = synchronous_guess(self.body, self.material, radius)
-            return angular_momentum(self.body, guess), guess, omega0
-        if self.initial["kind"] == "equilibrium":
-            return self.initial["L0"], None, None
-        state = self.initial_state()
-        return angular_momentum(self.body, state), state, None
-
-    def _orbital_state(self, section: dict) -> DeformationState:
-        r = section["orbit_radius"]
-        rate_circ = np.sqrt(self.material.kM / r**3)
-        axis = section["spin_axis"]
-        if section["spin_rate"] is not None:
-            spin_mag = section["spin_rate"]
-        else:
-            spin_mag = section["spin_factor"] * rate_circ
-        spin = spin_mag * axis
-        R = Rotation.from_rotvec(section["rotation_angle"] * axis).as_matrix()
-        if section["strain"] is not None:
-            R = R @ np.diag(1.0 + section["strain"])
-        c0 = np.array([r, 0.0, 0.0])
-        v_circ = r * rate_circ
-        v0 = np.array([section["radial_velocity"], section["tangential_factor"] * v_circ, 0.0])
-        state = rigid_state(self.body, rotation=R, translation=c0, velocity=v0, spin=spin)
-        if section["jitter"] > 0.0:
-            rng = np.random.default_rng(self.seed)
-            state.qdot = state.qdot + section["jitter"] * rng.standard_normal(state.qdot.size)
-        return state
-
-
-def _parse_initial(node, n_modes: int, has_seed: bool) -> dict:
-    section = _require_mapping(node, "initial")
-    kind = section.get("kind")
-    if kind not in _INITIAL_KEYS:
-        raise ConfigError(
-            f"initial.kind must be one of {sorted(_INITIAL_KEYS)}, got {kind!r}"
-        )
-    _check_keys(section, _INITIAL_KEYS[kind], "initial")
-    for key, value in section.items():
-        # every initial value enters the state, so an infinite one would reach the solver
-        entries = value if isinstance(value, list) else [value]
-        if any(isinstance(x, float) and np.isinf(x) for x in entries):
-            raise ConfigError(f"initial.{key} must be finite, got {value!r}")
-    out = {"kind": kind}
-    if kind == "explicit":
-        q = _as_vector(section, "q", "initial", length=n_modes)
-        qdot = _as_vector(section, "qdot", "initial", length=n_modes)
-        if q is None or qdot is None:
-            raise ConfigError("initial.q and initial.qdot are required for kind explicit")
-        out["q"], out["qdot"] = q, qdot
-    elif kind == "orbital":
-        r = _as_float(section, "orbit_radius", "initial")
-        if r is None or r <= 0.0:
-            raise ConfigError("initial.orbit_radius must be a positive number")
-        spin_rate = _as_float(section, "spin_rate", "initial")
-        spin_factor = _as_float(section, "spin_factor", "initial")
-        if spin_rate is not None and spin_factor is not None:
-            raise ConfigError("initial.spin_rate and initial.spin_factor are mutually exclusive")
-        if spin_factor is None:
-            spin_factor = 1.0
-        axis = _as_vector(section, "spin_axis", "initial", length=3,
-                          default=np.array([0.0, 0.0, 1.0]))
-        norm = np.linalg.norm(axis)
-        if norm == 0.0:
-            raise ConfigError("initial.spin_axis must be nonzero")
-        jitter = _as_float(section, "jitter", "initial", default=0.0)
-        if jitter < 0.0:
-            raise ConfigError("initial.jitter must be nonnegative")
-        if jitter > 0.0 and not has_seed:
-            raise ConfigError("initial.jitter requires a top-level seed for reproducibility")
-        strain = _as_vector(section, "strain", "initial", length=3)
-        if strain is not None and np.any(strain <= -1.0):
-            raise ConfigError("initial.strain entries must be > -1")
-        out.update(
-            strain=strain,
-            orbit_radius=r,
-            spin_rate=spin_rate,
-            spin_factor=spin_factor,
-            tangential_factor=_as_float(section, "tangential_factor", "initial", default=1.0),
-            radial_velocity=_as_float(section, "radial_velocity", "initial", default=0.0),
-            spin_axis=axis / norm,
-            rotation_angle=_as_float(section, "rotation_angle", "initial", default=0.0),
-            jitter=jitter,
-        )
-    else:
-        L0 = _as_vector(section, "L0", "initial", length=3)
-        orbit_radius = _as_float(section, "orbit_radius", "initial")
-        if (L0 is None) == (orbit_radius is None):
-            raise ConfigError(
-                "kind equilibrium takes exactly one of initial.L0 or initial.orbit_radius"
-            )
-        if orbit_radius is not None and orbit_radius <= 0.0:
-            raise ConfigError("initial.orbit_radius must be a positive number")
-        spin_boost = _as_float(section, "spin_boost", "initial", default=1.0)
-        if spin_boost <= 0.0:
-            raise ConfigError("initial.spin_boost must be positive")
-        perturbation = _as_float(section, "perturbation", "initial", default=0.0)
-        if perturbation < 0.0:
-            raise ConfigError("initial.perturbation must be nonnegative")
-        if perturbation > 0.0 and not has_seed:
-            raise ConfigError("initial.perturbation requires a top-level seed")
-        out["L0"] = L0
-        out["orbit_radius"] = orbit_radius
-        out["spin_boost"] = spin_boost
-        out["perturbation"] = perturbation
-    return out
+        return self.initial.equilibrium_seed(self.body, self.material, self.seed)
 
 
 def scenario_from_mapping(doc) -> Scenario:
@@ -276,50 +292,25 @@ def scenario_from_mapping(doc) -> Scenario:
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int)):
         raise ConfigError(f"seed must be an integer, got {seed!r}")
 
-    if "body" not in doc:
-        raise ConfigError("missing required section: body")
-    body_sec = _require_mapping(doc["body"], "body")
-    _check_keys(body_sec, _BODY_KEYS, "body")
-    semi_axes = _as_vector(body_sec, "semi_axes", "body", length=3)
-    if semi_axes is None:
-        raise ConfigError("body.semi_axes is required")
-    degree = body_sec.get("basis_degree", 1)
-    if isinstance(degree, bool) or not isinstance(degree, int):
-        raise ConfigError("body.basis_degree must be an integer")
-    order = body_sec.get("quadrature_order", 8)
-    if isinstance(order, bool) or not isinstance(order, int):
-        raise ConfigError("body.quadrature_order must be an integer")
+    body = _record(build_ellipsoid_body, doc.get("body", {}), "body")
+    material = _record(MaterialParams, doc.get("material", {}), "material")
+    viscosity = _record(ViscosityParams, doc.get("viscosity", {}), "viscosity")
+    settings = _record(IntegratorSettings, doc.get("integrator", {}), "integrator")
+    thresholds = _record(CaptureThresholds, doc.get("classifier", {}), "classifier")
 
-    try:
-        body = build_ellipsoid_body(
-            tuple(semi_axes),
-            density_value=_as_float(body_sec, "density", "body", default=1.0),
-            basis_degree=degree,
-            quadrature_order=order,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(f"body: {exc}") from exc
+    section = _require_mapping(doc.get("initial", {}), "initial")
+    kind = section.get("kind")
+    if not isinstance(kind, str) or kind not in _STARTS:
+        raise ConfigError(f"initial.kind must be one of {sorted(_STARTS)}, got {kind!r}")
+    initial = _record(_STARTS[kind], {k: v for k, v in section.items() if k != "kind"}, "initial")
+    n = body.n_modes
+    if isinstance(initial, ExplicitStart) and not len(initial.q) == len(initial.qdot) == n:
+        raise ConfigError(f"initial.q and initial.qdot must have length {n}, one per mode")
+    for noise in ("jitter", "perturbation"):  # a random draw is reproducible only from a seed
+        if getattr(initial, noise, 0.0) > 0.0 and seed is None:
+            raise ConfigError(f"initial.{noise} requires a top-level seed for reproducibility")
 
-    material = _record(MaterialParams, doc, "material")
-    viscosity = _record(ViscosityParams, doc, "viscosity")
-    settings = _record(IntegratorSettings, doc, "integrator")
-    thresholds = _record(CaptureThresholds, doc, "classifier")
-
-    if "initial" not in doc:
-        raise ConfigError("missing required section: initial")
-    initial = _parse_initial(doc["initial"], body.n_modes, seed is not None)
-
-    return Scenario(
-        name=name,
-        seed=seed,
-        body=body,
-        material=material,
-        viscosity=viscosity,
-        settings=settings,
-        thresholds=thresholds,
-        initial=initial,
-        doc=doc,
-    )
+    return Scenario(name, seed, body, material, viscosity, settings, thresholds, initial, doc)
 
 
 # libyaml's parser where PyYAML was built with it: the same mappings as the

@@ -148,9 +148,9 @@ def test_build_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
         es.build_ellipsoid_body((1.0, np.nan, 0.6))
     with pytest.raises(InvalidParameterError):
-        es.build_ellipsoid_body((1.0, 0.85, 0.6), density_value=0.0)
+        es.build_ellipsoid_body((1.0, 0.85, 0.6), density=0.0)
     with pytest.raises(InvalidParameterError):
-        es.build_ellipsoid_body((1.0, 0.85, 0.6), density_value=np.nan)
+        es.build_ellipsoid_body((1.0, 0.85, 0.6), density=np.nan)
     with pytest.raises(InvalidParameterError):
         es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=0)
     with pytest.raises(InvalidParameterError):

@@ -124,17 +124,22 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["simulate", "--config", str(not_text), "--out", out]) == 2
     assert main(["simulate", "--config", str(tmp_path), "--out", out]) == 2
 
-    # values that would crash or hang a run are rejected when the scenario loads
+    # values that would crash or hang a run are rejected when the scenario loads:
+    # an infinite lam, eta or self_gravity_k made the kernel NaN at t = 0 and
+    # DOP853 never ended; an infinite kM, density or semi-axis raised ValueError
+    inf = float("inf")
     for section, key, value in [
         ("classifier", "window_periods", -1.0), ("classifier", "cdot_max", float("nan")),
-        ("integrator", "t_end", float("nan")), ("integrator", "t_end", float("inf")),
+        ("integrator", "t_end", float("nan")), ("integrator", "t_end", inf),
         ("integrator", "record_every", float("nan")), ("integrator", "rel_tol", float("nan")),
+        ("material", "lam", inf), ("material", "kM", inf), ("material", "self_gravity_k", inf),
+        ("viscosity", "eta", inf), ("body", "density", inf),
+        ("body", "semi_axes", [1.0, inf, 0.6]),
     ]:
         cfg = _write(tmp_path / "value.yaml", _orbital_doc(**{section: {key: value}}))
         assert main(["simulate", "--config", cfg, "--out", out]) == 2, (section, key, value)
 
     # an infinite initial value is rejected when the scenario loads, not by solve_ivp
-    inf = float("inf")
     n_modes = 12
     for initial in [
         {"orbit_radius": inf}, {"spin_rate": -inf}, {"tangential_factor": inf},
@@ -347,6 +352,24 @@ def test_sweep_survives_a_bad_point(tmp_path):
     assert error["index"] == 1
     assert error["error_type"] == "ConfigError"
     assert "epsilon" in error["error"]
+
+
+def test_sweep_point_with_an_infinite_value_is_an_error_row(tmp_path):
+    # every point is validated when it runs: an infinite lam at point 1 used to hang the sweep
+    sweep = {
+        "base": _orbital_doc(integrator={"t_end": 0.5, "record_every": 0.25}),
+        "sweep": {"parameter": "material.lam", "values": [1.0, float("inf")]},
+    }
+    cfg = _write(tmp_path / "sweep.yaml", sweep)
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["outcome"] for r in rows] == ["Undetermined", "error"]
+    error = json.loads((out / "point-001" / "error.json").read_text())
+    assert error["error_type"] == "ConfigError"
+    assert "material.lam" in error["error"]
+    assert not (out / "point-001" / "result.json").exists()
 
 
 @pytest.mark.parametrize("where", ["values", "base"])

@@ -31,8 +31,7 @@ from scipy.spatial.transform import Rotation
 import elastisat as es
 from elastisat.body_model import det3, require_regular
 from elastisat.dynamics import _rhs, _termination_events
-from elastisat.energetics import (conservative_force, force_kernel, generalized_force,
-                                  potential_hessian)
+from elastisat.energetics import conservative_force, force_kernel, potential_hessian
 from elastisat.errors import SingularConfigurationError
 
 MAT = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
@@ -78,7 +77,7 @@ def _kernel(body, state):
         require_regular(body, state)
     except SingularConfigurationError:
         assume(False)
-    return generalized_force(body, np.stack([state.q, state.qdot]), MAT, ETA)
+    return force_kernel(body, MAT, ETA)(np.stack([state.q, state.qdot]))
 
 
 @PROPERTY
@@ -136,7 +135,7 @@ def test_kernel_is_the_node_space_force(degree, eta, self_gravity, data):
     except SingularConfigurationError:
         assume(False)
     y = np.stack([state.q, state.qdot]) if eta > 0.0 else state.q[None]
-    kernel = generalized_force(body, y, mat, eta)
+    kernel = force_kernel(body, mat, eta)(y)
     oracle = _node_space_force(body, state, mat, eta)
     assert np.linalg.norm(kernel - oracle) <= 1e-13 * np.linalg.norm(oracle)
 
@@ -229,7 +228,7 @@ def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gra
     except SingularConfigurationError:
         assume(False)
     y = np.concatenate([state.q, state.qdot])
-    accel = body.solve_mass(generalized_force(body, np.stack([state.q, state.qdot]), mat, eta))
+    accel = body.solve_mass(force_kernel(body, mat, eta)(np.stack([state.q, state.qdot])))
     expected = np.concatenate([state.qdot, accel.reshape(-1)])
     rhs = _rhs(body, mat, es.ViscosityParams(eta))
     first, second = rhs(0.0, y), rhs(0.0, y)
@@ -371,13 +370,16 @@ def test_kinematics_are_the_node_quadrature(degree, data):
         omega_spin, omega_orbit = es.instantaneous_spin(body, state)
         got = {"omega_spin": omega_spin, "omega_orbit": omega_orbit,
                "R": R, "Y": Y, "xi_residual": residual}
-        # round-off is relative to the size of the state the value comes from
+        # round-off is relative to the size of the state the value comes from;
+        # below about 1e-309 it is a count of subnormal ulps (up to 62 seen in
+        # 7,000 draws of subnormal velocities), so the bound has a floor of 2^10
         rate, size = np.max(np.abs(state.qdot)), np.max(np.abs(state.q))
         scale = {"omega_spin": rate, "omega_orbit": rate, "R": 1.0, "Y": size, "xi_residual": size}
+        floor = 2**10 * np.finfo(float).smallest_subnormal
         for name, value in got.items():
             want = np.stack([one[name] for one in oracle]) if expected is None else expected[name]
             assert value.shape == want.shape, name
-            assert np.max(np.abs(value - want)) <= 1e-12 * scale[name], name
+            assert np.max(np.abs(value - want)) <= max(1e-12 * scale[name], floor), name
 
 
 @PROPERTY

@@ -1,6 +1,7 @@
 """Scenario schema validation and initial-condition construction."""
 
 import copy
+import inspect
 import json
 from pathlib import Path
 
@@ -108,6 +109,9 @@ def test_unknown_keys_are_rejected(mutate):
         lambda d: d["initial"].update(strain=[float("nan"), 0.0, 0.0]),
         lambda d: d.update(classifier={"window_periods": -1.0}),
         lambda d: d.update(classifier={"y_drift": float("nan")}),
+        # an integer beyond the float range, and a kind that is a list, used to exit 1
+        lambda d: d.update(material={"lam": 10**400}),
+        lambda d: d.update(initial={"kind": ["orbital"], "orbit_radius": 3.0}),
     ],
 )
 def test_bad_values_are_rejected(mutate):
@@ -147,6 +151,45 @@ def test_python_loader_fallback_reads_and_rejects_yaml(tmp_path, monkeypatch):
     path.write_text("integrator: [unclosed\n")
     with pytest.raises(ConfigError, match="could not parse"):
         es.load_scenario(path)
+
+
+# Every section record with a valid initial section for it: the keys of a
+# section are the keyword parameters of its record (its dataclass fields).
+SECTION_RECORDS = [
+    ("body", es.build_ellipsoid_body, None),
+    ("material", es.MaterialParams, None),
+    ("viscosity", es.ViscosityParams, None),
+    ("integrator", es.IntegratorSettings, None),
+    ("classifier", es.CaptureThresholds, None),
+    ("initial", scenario_module.OrbitalStart, {"kind": "orbital", "orbit_radius": 3.0}),
+    ("initial", scenario_module.EquilibriumStart, {"kind": "equilibrium", "orbit_radius": 3.0}),
+    ("initial", scenario_module.ExplicitStart,
+     {"kind": "explicit", "q": [0.0] * 12, "qdot": [0.0] * 12}),
+]
+
+
+@pytest.mark.parametrize("section, record, initial", SECTION_RECORDS,
+                         ids=[record.__name__ for _, record, _ in SECTION_RECORDS])
+def test_no_key_takes_nan_or_an_infinity(section, record, initial):
+    # derived from the records, so a field added later is covered too: every
+    # number in a scenario is finite, except an unbounded integrator.max_step
+    base = _doc(initial=initial) if initial else _doc()
+    for name, p in inspect.signature(record, eval_str=True).parameters.items():
+        if p.annotation is str:
+            continue
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            doc = copy.deepcopy(base)
+            value = bad
+            if "tuple" in str(p.annotation):
+                valid = doc[section].get(name, [1.0, 1.0, 1.0])
+                value = [valid[0], bad, *valid[2:]]  # one bad entry in a vector
+            doc.setdefault(section, {})[name] = value
+            if (section, name, bad) == ("integrator", "max_step", float("inf")):
+                assert es.scenario_from_mapping(doc).settings.max_step == bad
+                continue
+            with pytest.raises(ConfigError) as info:
+                es.scenario_from_mapping(doc)
+            assert name in str(info.value), (section, name, value)
 
 
 def test_randomized_initials_require_a_seed():
