@@ -25,6 +25,7 @@ rules mapped onto the ellipsoid, two of them:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -74,6 +75,15 @@ def _eval_monomial_gradients(exponents, x):
     return grads
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """(nodes, weights) of the n-point Gauss-Legendre rule on (-1, 1); cached per n, read-only."""
+    rule = leggauss(n)
+    for table in rule:
+        table.flags.writeable = False  # shared by every caller through the cache
+    return rule
+
+
 def ellipsoid_quadrature(semi_axes, order: int):
     """Gauss-Legendre product rule on the ellipsoid, exact for total degree <= order.
 
@@ -89,10 +99,10 @@ def ellipsoid_quadrature(semi_axes, order: int):
     n_u = (order + 2) // 2       # integrates u^order
     n_phi = order + 1            # trig degree <= order
 
-    r_nodes, r_weights = leggauss(n_r)
+    r_nodes, r_weights = _gauss_legendre(n_r)
     r_nodes = 0.5 * (r_nodes + 1.0)          # map to (0, 1)
     r_weights = 0.5 * r_weights
-    u_nodes, u_weights = leggauss(n_u)
+    u_nodes, u_weights = _gauss_legendre(n_u)
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     phi_weight = 2.0 * np.pi / n_phi
 
@@ -385,11 +395,13 @@ def rigid_state(
 
 
 def skew(v) -> np.ndarray:
-    """Matrix of the cross product: skew(v) u = v x u."""
+    """Matrix of the cross product: skew(v) u = v x u; v of shape (..., 3) gives (..., 3, 3)."""
     v = np.asarray(v, dtype=float)
-    return np.array(
-        [[0.0, -v[2], v[1]], [v[2], 0.0, -v[0]], [-v[1], v[0], 0.0]]
-    )
+    W = np.zeros(v.shape + (3,))
+    W[..., 0, 1], W[..., 0, 2] = -v[..., 2], v[..., 1]
+    W[..., 1, 0], W[..., 1, 2] = v[..., 2], -v[..., 0]
+    W[..., 2, 0], W[..., 2, 1] = -v[..., 1], v[..., 0]
+    return W
 
 
 def axis_rotation(axis, angle: float) -> np.ndarray:

@@ -51,7 +51,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        return obj.tolist()  # plain Python numbers already
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj

@@ -193,9 +193,14 @@ def kinetic_energy(body: ReferenceBody, state: DeformationState) -> float | np.n
 
 def angular_momentum(body: ReferenceBody, state: DeformationState) -> np.ndarray:
     """L = integral of zeta x rho0 zetadot, shape (..., 3); exact for polynomial states."""
-    A = _rows(state.q)
-    Adot = _rows(state.qdot)
-    cross = np.cross(A[..., :, None, :], Adot[..., None, :, :])
+    A = _rows(state.q)[..., :, None, :]
+    Adot = _rows(state.qdot)[..., None, :, :]
+    # A_a x Adot_b written out by components: np.cross's products and
+    # differences, the same three roundings per component, without its setup
+    cross = np.empty(np.broadcast_shapes(A.shape, Adot.shape))
+    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        np.multiply(A[..., j], Adot[..., k], out=cross[..., i])
+        cross[..., i] -= A[..., k] * Adot[..., j]
     return np.einsum("ab,...abi->...i", body.S, cross)
 
 

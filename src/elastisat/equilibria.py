@@ -16,7 +16,9 @@ Jacobian is singular along the group orbit (rotations about L0), so each
 step is a least-squares step with one more row, the phase condition
 T0 . (u - u0) = 0 with T0 the orbit tangent at the seed u0: it pins where
 on the orbit the solution lands.  The nondegeneracy spectrum takes the
-same potential Hessian, and the rigid catalog a closed-form one.
+same potential Hessian, and the rigid catalog a closed-form one, which it
+evaluates for all 24 families as one stack: the spectrum helpers take
+leading axes.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .body_model import (
     DeformationState,
@@ -94,7 +95,14 @@ def _momentum_jacobian(body: ReferenceBody, q: np.ndarray, v: np.ndarray):
     """
     SA = body.S @ np.asarray(q, dtype=float).reshape(-1, 3)
     SV = body.S @ np.asarray(v, dtype=float).reshape(-1, 3)
-    return np.hstack([-skew(x) for x in SV]), np.hstack([skew(x) for x in SA])
+    # the skew blocks of the rows side by side, block b in columns 3b to 3b + 2
+    return ((-skew(SV)).transpose(1, 0, 2).reshape(3, -1),
+            skew(SA).transpose(1, 0, 2).reshape(3, -1))
+
+
+# d skew(omega) / d omega_k, stacked along the first axis
+_DW = skew(np.eye(3))
+_DW.flags.writeable = False
 
 
 def equilibrium_jacobian(
@@ -107,21 +115,25 @@ def equilibrium_jacobian(
 
     The q block is potential_hessian + kron(S, W^2), the omega block
     S A d(W^2)/d omega, and the momentum rows follow from L being bilinear
-    in (q, v) with v = A W^T.  L0 only shifts the residual.
+    in (q, v) with v = A W^T.  L0 only shifts the residual.  The blocks are
+    computed whole and copied into one array.
     """
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
     A = q.reshape(-1, 3)
+    nm, n = A.shape[0], q.size
     W = skew(omega)
-    dW = [skew(e) for e in np.eye(3)]
     Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(q, omega))
-    SA = body.S @ A
-    return np.block([
-        [potential_hessian(body, q, material) + np.kron(body.S, W @ W),
-         np.column_stack([(SA @ (E @ W + W @ E)).reshape(-1) for E in dW])],
-        [Dq + Dv @ np.kron(np.eye(A.shape[0]), W),
-         Dv @ np.column_stack([(A @ E.T).reshape(-1) for E in dW])],
-    ])
+    Hqq = potential_hessian(body, q, material)
+    # kron(S, W^2) added entry by entry: S_ab (W^2)_ij at (3a + i, 3b + j)
+    Hqq.reshape(nm, 3, nm, 3)[...] += body.S[:, None, :, None] * (W @ W)[:, None, :]
+    J = np.empty((n + 3, n + 3))
+    J[:n, :n] = Hqq
+    J[:n, n:] = (body.S @ A @ (_DW @ W + W @ _DW)).reshape(3, n).T
+    J[n:, :n] = Dq + Dv @ np.kron(np.eye(nm), W)
+    # a C-ordered right factor: BLAS rounds this product differently for a transposed one
+    J[n:, n:] = Dv @ (A @ _DW.mT).reshape(3, n).T.copy()
+    return J
 
 
 def synchronous_guess(body: ReferenceBody, material: MaterialParams, orbit_radius: float):
@@ -303,7 +315,12 @@ def solve_relative_equilibrium(
 
 @dataclass(frozen=True)
 class NondegeneracyReport:
-    """Spectrum of the augmented Hessian on ker dL modulo the rotation orbit."""
+    """Spectrum of the augmented Hessian on ker dL modulo the rotation orbit.
+
+    The fields of a report on a stack of Hessians carry its leading axes;
+    report[index] is the report of one Hessian, with a float floor and
+    int counts (report[()] for a report of one).
+    """
 
     eigenvalues: np.ndarray
     floor: float
@@ -314,6 +331,15 @@ class NondegeneracyReport:
     @property
     def nondegenerate(self) -> bool:
         return self.n_zero == 0
+
+    def __getitem__(self, index) -> "NondegeneracyReport":
+        return NondegeneracyReport(
+            eigenvalues=self.eigenvalues[index],
+            floor=float(self.floor[index]),
+            n_negative=int(self.n_negative[index]),
+            n_zero=int(self.n_zero[index]),
+            n_positive=int(self.n_positive[index]),
+        )
 
 
 def nondegeneracy_spectrum(
@@ -347,32 +373,53 @@ def nondegeneracy_spectrum(
         (q.reshape(-1, 3) @ E.T).reshape(-1),
         (v.reshape(-1, 3) @ E.T).reshape(-1),
     ])
-    return _restricted_spectrum(Hfull, np.hstack([Dq, Dv]), T, floor_rel)
+    return _restricted_spectrum(Hfull, np.hstack([Dq, Dv]), T, floor_rel)[()]
+
+
+def _null_space(A):
+    """Orthonormal bases of ker A, as columns, for a stack A (..., m, n) of matrices of one rank.
+
+    scipy.linalg.null_space's rule, matrix by matrix: the right singular
+    vectors whose singular values are at most eps max(m, n) times the
+    largest span the kernel. The bases are C-ordered, as scipy's are:
+    BLAS rounds products with a transposed factor differently.
+    """
+    _, s, vh = np.linalg.svd(A)
+    tol = np.max(s, axis=-1) * (np.finfo(float).eps * max(A.shape[-2:]))
+    rank = np.sum(s > tol[..., None], axis=-1)
+    if np.ptp(rank) > 0:
+        raise ValueError(f"matrices of ranks {np.unique(rank)} in one stack: no common kernel size")
+    return np.ascontiguousarray(vh[..., int(np.max(rank)):, :].mT)
 
 
 def _restricted_spectrum(H, dL, T, floor_rel) -> NondegeneracyReport:
     """Signature of the Hessian H on ker dL with the orbit tangent T projected out.
 
-    Eigenvalues with modulus below floor_rel times the spectral radius
-    count as zero.
+    H (..., n, n), dL (..., m, n) and T (..., n) may carry leading axes,
+    and the report carries them too. Eigenvalues with modulus below
+    floor_rel times the spectral radius count as zero. Every dL of a stack
+    must have the same rank, and T must have a part in ker dL for all of
+    them or for none.
     """
-    K = null_space(dL)
-    Hr = K.T @ H @ K
-    t_k = K.T @ T
-    if np.linalg.norm(t_k) > 1e-12 * max(1.0, np.linalg.norm(T)):
-        Q = null_space(t_k.reshape(1, -1))
-        Hp = Q.T @ Hr @ Q
-    else:
-        Hp = Hr
+    K = _null_space(dL)
+    Hr = K.mT @ H @ K
+    t_k = (K.mT @ T[..., None])[..., 0]
+    project = np.sqrt(np.vecdot(t_k, t_k)) > 1e-12 * np.maximum(1.0, np.sqrt(np.vecdot(T, T)))
+    if np.all(project):
+        Q = _null_space(t_k[..., None, :])
+        Hr = Q.mT @ Hr @ Q
+    elif np.any(project):
+        raise ValueError("the orbit tangent leaves ker dL for some matrices of the stack only")
 
-    eigenvalues = np.linalg.eigvalsh(Hp)
-    floor = floor_rel * float(np.max(np.abs(eigenvalues)))
+    eigenvalues = np.linalg.eigvalsh(Hr)
+    floor = floor_rel * np.max(np.abs(eigenvalues), axis=-1)
+    below = floor[..., None]
     return NondegeneracyReport(
         eigenvalues=eigenvalues,
         floor=floor,
-        n_negative=int(np.sum(eigenvalues <= -floor)),
-        n_zero=int(np.sum(np.abs(eigenvalues) < floor)),
-        n_positive=int(np.sum(eigenvalues >= floor)),
+        n_negative=np.sum(eigenvalues <= -below, axis=-1),
+        n_zero=np.sum(np.abs(eigenvalues) < below, axis=-1),
+        n_positive=np.sum(eigenvalues >= below, axis=-1),
     )
 
 
@@ -423,23 +470,39 @@ class RigidEquilibrium:
         return self.n_negative == 0 and self.n_zero == 0
 
 
+# The rigid helpers below take leading axes on R0, c and the velocities,
+# broadcast against each other, and return one value per family.
+
+
+def _float_powers(r, *exponents):
+    """[r**e for e in exponents], entry by entry in Python floats.
+
+    numpy's power on float64 arrays may round some entries differently
+    from the C library's pow behind Python's **, so a stack of families
+    would not reproduce the one-family numbers.
+    """
+    values = np.ravel(r).tolist()
+    return [np.reshape([x**e for x in values], np.shape(r)) for e in exponents]
+
+
 def _maccullagh_potential(c, I_s, mass, kM):
-    r = np.linalg.norm(c)
-    quad = np.trace(I_s) - 3.0 * (c @ I_s @ c) / r**2
-    return -kM * mass / r - kM * quad / (2.0 * r**3)
+    r = np.sqrt(np.vecdot(c, c))
+    r2, r3 = _float_powers(r, 2, 3)
+    quad = np.trace(I_s, axis1=-2, axis2=-1) - 3.0 * np.vecdot(c @ I_s, c) / r2
+    return -kM * mass / r - kM * quad / (2.0 * r3)
 
 
 def _rigid_momentum_jacobian(rigid, R0, c, v, w):
-    """Analytic dL over the chart (c, theta, v, w) at theta = 0."""
+    """Analytic dL over the chart (c, theta, v, w) at theta = 0, shape (..., 3, 12)."""
     I_ref = rigid.inertia
-    dL = np.zeros((3, 12))
-    dL[:, 0:3] = -rigid.mass * skew(v)
-    dL[:, 6:9] = rigid.mass * skew(c)
-    dL[:, 9:12] = R0 @ I_ref @ R0.T
-    for k in range(3):
-        ek = skew(np.eye(3)[k])
-        dIs = R0 @ (ek @ I_ref - I_ref @ ek) @ R0.T
-        dL[:, 3 + k] = dIs @ w
+    lead = np.broadcast_shapes(R0.shape[:-2], c.shape[:-1], v.shape[:-1], w.shape[:-1])
+    dL = np.zeros(lead + (3, 12))
+    dL[..., 0:3] = -rigid.mass * skew(v)
+    dL[..., 6:9] = rigid.mass * skew(c)
+    dL[..., 9:12] = R0 @ I_ref @ R0.mT
+    # d I_s / d theta_k = R0 (E_k I_ref - I_ref E_k) R0^T, E_k = skew(e_k), along axis -3
+    dIs = R0[..., None, :, :] @ (_DW @ I_ref - I_ref @ _DW) @ R0.mT[..., None, :, :]
+    dL[..., 3:6] = (dIs @ w[..., None, :, None])[..., 0].mT
     return dL
 
 
@@ -454,50 +517,46 @@ def _rigid_hessian(rigid, R0, c, omega, kM):
         I_s(theta) = I_s + (K I_s - I_s K) + (K^2 I_s + I_s K^2)/2 - K I_s K + ...
 
     The theta-w block, (K I_s - I_s K)(w - omega), vanishes at w = omega.
+    H has shape (..., 12, 12).
     """
     m = rigid.mass
-    I_s = R0 @ rigid.inertia @ R0.T
-    r = float(np.linalg.norm(c))
+    I_s = R0 @ rigid.inertia @ R0.mT
+    r = np.sqrt(np.vecdot(c, c))
+    r3, r5, r7, r9 = (p[..., None, None] for p in _float_powers(r, 3, 5, 7, 9))
     I3 = np.eye(3)
-    Ic = I_s @ c
-    cIc = float(c @ Ic)
-    cc = np.outer(c, c)
+    Ic = (I_s @ c[..., None])[..., 0]
+    cIc = np.vecdot(c, Ic)[..., None, None]
+    cc = c[..., :, None] * c[..., None, :]
 
-    X = np.array([skew(R0[:, k]) for k in range(3)])
-    D = X @ I_s - I_s @ X                                   # d I_s / d theta_k
-    XX = np.einsum("kij,ljm->klim", X, X)
-    XX = 0.5 * (XX + XX.transpose(1, 0, 2, 3))
-    KJK = X[:, None] @ I_s @ X[None, :]
-    Q = XX @ I_s + I_s @ XX - KJK - KJK.transpose(1, 0, 2, 3)   # d2 I_s / d theta_k d theta_l
+    X = skew(R0.mT)                                         # X[..., k, :, :]
+    D = X @ I_s[..., None, :, :] - I_s[..., None, :, :] @ X   # d I_s / d theta_k
+    XX = np.einsum("...kij,...ljm->...klim", X, X)
+    XX = 0.5 * (XX + XX.swapaxes(-4, -3))
+    Is = I_s[..., None, None, :, :]
+    KJK = X[..., :, None, :, :] @ Is @ X[..., None, :, :, :]
+    Q = XX @ Is + Is @ XX - KJK - KJK.swapaxes(-4, -3)     # d2 I_s / d theta_k d theta_l
     # psi = <I_s, G> + terms free of theta
-    G = 1.5 * kM * cc / r**5 - 0.5 * np.outer(omega, omega)
+    G = 1.5 * kM * cc / r5 - 0.5 * (omega[..., :, None] * omega[..., None, :])
+    Dc = (D @ c[..., None, :, None])[..., 0]                # (D_k c)_i at [..., k, i]
+    Dcc = (Dc @ c[..., :, None])[..., 0]
 
-    H = np.zeros((12, 12))
-    H[0:3, 0:3] = (
-        kM * m * (I3 / r**3 - 3.0 * cc / r**5)
-        + kM * np.trace(I_s) * (1.5 * I3 / r**5 - 7.5 * cc / r**7)
-        + 1.5 * kM * (2.0 * I_s / r**5 - 10.0 * (np.outer(Ic, c) + np.outer(c, Ic)) / r**7
-                      - 5.0 * cIc * I3 / r**7 + 35.0 * cIc * cc / r**9)
+    H = np.zeros(np.broadcast_shapes(I_s.shape[:-2], c.shape[:-1], omega.shape[:-1]) + (12, 12))
+    H[..., 0:3, 0:3] = (
+        kM * m * (I3 / r3 - 3.0 * cc / r5)
+        + kM * np.trace(I_s, axis1=-2, axis2=-1)[..., None, None] * (1.5 * I3 / r5 - 7.5 * cc / r7)
+        + 1.5 * kM * (2.0 * I_s / r5 - 10.0 * (Ic[..., :, None] * c[..., None, :]
+                                               + c[..., :, None] * Ic[..., None, :]) / r7
+                      - 5.0 * cIc * I3 / r7 + 35.0 * cIc * cc / r9)
     )
-    H[0:3, 3:6] = 1.5 * kM * (2.0 * (D @ c).T / r**5 - 5.0 * np.outer(c, D @ c @ c) / r**7)
-    H[3:6, 0:3] = H[0:3, 3:6].T
-    H[0:3, 6:9] = m * skew(omega)
-    H[6:9, 0:3] = H[0:3, 6:9].T
-    H[3:6, 3:6] = np.einsum("klij,ij->kl", Q, G)
-    H[6:9, 6:9] = m * I3
-    H[9:12, 9:12] = I_s
+    H[..., 0:3, 3:6] = 1.5 * kM * (2.0 * Dc.mT / r5
+                                   - 5.0 * (c[..., :, None] * Dcc[..., None, :]) / r7)
+    H[..., 3:6, 0:3] = H[..., 0:3, 3:6].mT
+    H[..., 0:3, 6:9] = m * skew(omega)
+    H[..., 6:9, 0:3] = H[..., 0:3, 6:9].mT
+    H[..., 3:6, 3:6] = np.einsum("...klij,...ij->...kl", Q, G)
+    H[..., 6:9, 6:9] = m * I3
+    H[..., 9:12, 9:12] = I_s
     return H
-
-
-def _rigid_spectrum(rigid, R0, c, omega, kM, floor_rel):
-    v = np.cross(omega, c)
-    I_s = R0 @ rigid.inertia @ R0.T
-    L0 = rigid.mass * np.cross(c, v) + I_s @ omega
-    H = _rigid_hessian(rigid, R0, c, omega, kM)
-    dL = _rigid_momentum_jacobian(rigid, R0, c, v, omega)
-    axis = L0 / np.linalg.norm(L0)
-    T = np.concatenate([np.cross(axis, c), R0.T @ axis, np.cross(axis, v), np.cross(axis, omega)])
-    return _restricted_spectrum(H, dL, T, floor_rel), L0
 
 
 def rigid_quadrupole_catalog(
@@ -516,8 +575,10 @@ def rigid_quadrupole_catalog(
 
         omega^2 = kM / r^3 + 3 kM (tr I - 3 I_radial) / (2 m r^5).
 
-    Raises DegenerateCatalogError when two principal moments coincide
-    (the families stop being isolated).
+    The families are picked one by one and then evaluated as one stack:
+    residuals, energies, momenta and the restricted spectra.  Raises
+    DegenerateCatalogError when two principal moments coincide (the
+    families stop being isolated).
     """
     rigid = RigidBodyModel.from_body(body)
     if not orbit_radius > 0.0:
@@ -537,7 +598,7 @@ def rigid_quadrupole_catalog(
     r = orbit_radius
     trI = float(np.sum(moments))
     xhat, yhat, zhat = np.eye(3)
-    entries = []
+    axes, rotations, rates = [], [], []
     for i in range(3):
         for s_r in (1, -1):
             for j in [k for k in range(3) if k != i]:
@@ -558,45 +619,58 @@ def rigid_quadrupole_catalog(
                         raise InvalidParameterError(
                             f"no real spin rate at radius {r:g} (omega^2 = {om2:.3e})"
                         )
-                    rate = float(np.sqrt(om2))
-                    omega = rate * zhat
-                    c = r * xhat
-                    v = np.cross(omega, c)
-                    I_s = R @ rigid.inertia @ R.T
+                    axes.append(((i, s_r), (j, s_n)))
+                    rotations.append(R)
+                    rates.append(float(np.sqrt(om2)))
 
-                    grad = (
-                        kM * m * c / r**3
-                        + 1.5 * kM * trI * c / r**5
-                        + 3.0 * kM * (I_s @ c) / r**5
-                        - 7.5 * kM * (c @ I_s @ c) * c / r**7
-                    )
-                    res_force = grad + m * np.cross(omega, np.cross(omega, c))
-                    res_torque = 3.0 * kM * np.cross(c, I_s @ c) / r**5 - np.cross(
-                        omega, I_s @ omega
-                    )
+    # every family at once, along the first axis; c is common to all
+    R = np.array(rotations)
+    omega = np.array(rates)[:, None] * zhat
+    c = r * xhat
+    v = np.cross(omega, c)
+    I_s = R @ rigid.inertia @ R.mT
+    Ic = (I_s @ c[:, None])[..., 0]
+    grad = (
+        kM * m * c / r**3
+        + 1.5 * kM * trI * c / r**5
+        + 3.0 * kM * Ic / r**5
+        - 7.5 * kM * np.vecdot(c @ I_s, c)[:, None] * c / r**7
+    )
+    res_force = grad + m * np.cross(omega, np.cross(omega, c))
+    I_omega = (I_s @ omega[..., None])[..., 0]
+    res_torque = 3.0 * kM * np.cross(c, Ic) / r**5 - np.cross(omega, I_omega)
+    energy = (
+        0.5 * m * np.vecdot(v, v)
+        + 0.5 * np.vecdot((omega[:, None] @ I_s)[:, 0], omega)
+        + _maccullagh_potential(c, I_s, m, kM)
+    )
+    L = m * np.cross(c, v) + I_omega
+    H = _rigid_hessian(rigid, R, c, omega, kM)
+    dL = _rigid_momentum_jacobian(rigid, R, c, v, omega)
+    axis = L / np.sqrt(np.vecdot(L, L))[:, None]
+    T = np.concatenate([np.cross(axis, c), (R.mT @ axis[..., None])[..., 0],
+                        np.cross(axis, v), np.cross(axis, omega)], axis=-1)
+    report = _restricted_spectrum(H, dL, T, floor_rel)
 
-                    report, L = _rigid_spectrum(rigid, R, c, omega, kM, floor_rel)
-                    energy = (
-                        0.5 * m * (v @ v)
-                        + 0.5 * (omega @ I_s @ omega)
-                        + _maccullagh_potential(c, I_s, m, kM)
-                    )
-                    entries.append(
-                        RigidEquilibrium(
-                            rotation=R,
-                            barycenter=c,
-                            omega=omega,
-                            spin_rate=rate,
-                            radial_axis=(i, s_r),
-                            normal_axis=(j, s_n),
-                            energy=float(energy),
-                            angular_momentum=L,
-                            res_force=res_force,
-                            res_torque=res_torque,
-                            eigenvalues=report.eigenvalues,
-                            n_negative=report.n_negative,
-                            n_zero=report.n_zero,
-                            n_positive=report.n_positive,
-                        )
-                    )
+    entries = []
+    for f, (radial_axis, normal_axis) in enumerate(axes):
+        spectrum = report[f]
+        entries.append(
+            RigidEquilibrium(
+                rotation=R[f],
+                barycenter=c.copy(),
+                omega=omega[f],
+                spin_rate=rates[f],
+                radial_axis=radial_axis,
+                normal_axis=normal_axis,
+                energy=float(energy[f]),
+                angular_momentum=L[f],
+                res_force=res_force[f],
+                res_torque=res_torque[f],
+                eigenvalues=spectrum.eigenvalues,
+                n_negative=spectrum.n_negative,
+                n_zero=spectrum.n_zero,
+                n_positive=spectrum.n_positive,
+            )
+        )
     return entries

@@ -187,8 +187,9 @@ class OrbitalStart:
 
 @dataclass(frozen=True)
 class EquilibriumStart:
-    """initial kind equilibrium: the relative equilibrium at momentum L0, or at
-    the momentum of the rigid synchronous orbit at orbit_radius (exactly one).
+    """initial kind equilibrium: the relative equilibrium at momentum L0, a
+    nonzero vector, or at the momentum of the rigid synchronous orbit at
+    orbit_radius (exactly one).
 
     spin_boost scales the velocity about the barycenter, a pure spin kick;
     perturbation > 0 adds a Gaussian velocity kick drawn from the seed.
@@ -202,6 +203,8 @@ class EquilibriumStart:
     def __post_init__(self):
         if (self.L0 is None) == (self.orbit_radius is None):
             raise InvalidParameterError("kind equilibrium takes exactly one of L0 or orbit_radius")
+        if self.L0 is not None and not any(self.L0):
+            raise InvalidParameterError("L0 must be a nonzero 3-vector")
         if self.orbit_radius is not None and not self.orbit_radius > 0:
             raise InvalidParameterError(f"orbit_radius must be > 0, got {self.orbit_radius}")
         if not self.spin_boost > 0:

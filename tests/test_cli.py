@@ -154,6 +154,13 @@ def test_config_errors_exit_2(tmp_path):
         doc["initial"] = {k: v for k, v in doc["initial"].items() if v is not None}
         cfg = _write(tmp_path / "initial.yaml", doc)
         assert main(["simulate", "--config", cfg, "--out", out]) == 2, initial
+    # a zero L0 has no relative equilibrium; both commands that solve for one
+    # reject it when the scenario loads, where it used to fail the run (exit 3)
+    doc = _orbital_doc(initial={"kind": "equilibrium", "L0": [0.0, 0.0, 0.0]})
+    del doc["initial"]["orbit_radius"]
+    cfg = _write(tmp_path / "zero_L0.yaml", doc)
+    for command in ("simulate", "equilibria"):
+        assert main([command, "--config", cfg, "--out", out]) == 2, command
     # an unbounded step stays legal
     cfg = _write(tmp_path / "step_inf.yaml", _orbital_doc(integrator={"max_step": inf}))
     assert main(["simulate", "--config", cfg, "--out", out]) == 0

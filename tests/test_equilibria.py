@@ -2,16 +2,19 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import expm, null_space
 from scipy.spatial.transform import Rotation
 
 import elastisat as es
 from elastisat import equilibria
 from elastisat.body_model import skew
+from elastisat.energetics import potential_hessian
 from elastisat.equilibria import (
     RigidBodyModel,
     _maccullagh_potential,
+    _restricted_spectrum,
     _rigid_hessian,
+    _rigid_momentum_jacobian,
     equilibrium_jacobian,
     equilibrium_residual,
     equilibrium_velocity,
@@ -189,6 +192,37 @@ def test_newton_jacobian_matches_finite_differences(triaxial, material, self_gra
         assert np.linalg.norm(J - J_fd) <= 1e-7 * np.linalg.norm(J)
 
 
+def _block_jacobian(body, material, q, omega):
+    """equilibrium_jacobian as np.block of the blocks, with kron and a column per axis."""
+    A = q.reshape(-1, 3)
+    W = skew(omega)
+    dW = [skew(e) for e in np.eye(3)]
+    SA, SV = body.S @ A, body.S @ (A @ W.T)
+    Dq, Dv = np.hstack([-skew(x) for x in SV]), np.hstack([skew(x) for x in SA])
+    return np.block([
+        [potential_hessian(body, q, material) + np.kron(body.S, W @ W),
+         np.column_stack([(SA @ (E @ W + W @ E)).reshape(-1) for E in dW])],
+        [Dq + Dv @ np.kron(np.eye(A.shape[0]), W),
+         Dv @ np.column_stack([(A @ E.T).reshape(-1) for E in dW])],
+    ])
+
+
+@pytest.mark.parametrize("degree", [1, 2])
+@pytest.mark.parametrize("self_gravity", [False, True])
+def test_newton_jacobian_is_the_block_assembly(material, degree, self_gravity):
+    # equilibrium_jacobian copies whole blocks into one array; Newton's
+    # arithmetic must not change, so it equals the block-by-block assembly bit for bit
+    body = es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=degree)
+    mat = SELF_GRAVITY if self_gravity else material
+    rng = np.random.default_rng(73)
+    guess, omega0 = es.synchronous_guess(body, mat, 3.0)
+    for _ in range(3):
+        q = guess.q + 0.05 * rng.standard_normal(guess.q.size)
+        omega = omega0 + 0.05 * rng.standard_normal(3)
+        assert np.array_equal(equilibrium_jacobian(body, mat, q, omega),
+                              _block_jacobian(body, mat, q, omega))
+
+
 @pytest.mark.parametrize("self_gravity", [False, True])
 @pytest.mark.parametrize("r", [2.5, 3.0, 4.0, 6.0])
 def test_phase_row_pins_the_orbit_point(triaxial, material, monkeypatch, r, self_gravity):
@@ -244,6 +278,50 @@ def test_rigid_hessian_matches_the_expm_energy(triaxial, material, r):
             for cols in blocks:
                 err = np.abs(H[rows, cols] - H_fd[rows, cols]).max()
                 assert err <= 1e-6 * np.abs(H_fd[rows, cols]).max() + 1e-7
+
+
+def _scipy_restricted_spectrum(H, dL, T):
+    """Eigenvalues of H on ker dL with T projected out, one matrix, through scipy's null_space."""
+    K = null_space(dL)
+    Hr = K.T @ H @ K
+    t_k = K.T @ T
+    if np.linalg.norm(t_k) > 1e-12 * max(1.0, np.linalg.norm(T)):
+        Q = null_space(t_k.reshape(1, -1))
+        Hr = Q.T @ Hr @ Q
+    return np.linalg.eigvalsh(Hr)
+
+
+def test_rigid_stack_is_the_one_family_calls(triaxial, material):
+    # The catalog evaluates its families as one stack. Stacked over the 72
+    # families at three radii, each family's Hessian, momentum Jacobian and
+    # restricted spectrum must equal its one-family call bit for bit, the
+    # spectrum must be the one scipy's null_space gives, and the catalog must
+    # report it.
+    rigid = RigidBodyModel.from_body(triaxial)
+    cat = [fam for r in (2.2, 2.9, 4.9)
+           for fam in es.rigid_quadrupole_catalog(triaxial, material, r)]
+    R, c, omega, L = (np.array([getattr(fam, key) for fam in cat])
+                      for key in ("rotation", "barycenter", "omega", "angular_momentum"))
+    v = np.cross(omega, c)
+    axis = L / np.linalg.norm(L, axis=-1)[:, None]
+    T = np.concatenate([np.cross(axis, c), (R.mT @ axis[..., None])[..., 0],
+                        np.cross(axis, v), np.cross(axis, omega)], axis=-1)
+    H = _rigid_hessian(rigid, R, c, omega, material.kM)
+    dL = _rigid_momentum_jacobian(rigid, R, c, v, omega)
+    report = _restricted_spectrum(H, dL, T, 1e-8)
+    assert H.shape == (72, 12, 12) and dL.shape == (72, 3, 12)
+    for f, fam in enumerate(cat):
+        H1 = _rigid_hessian(rigid, fam.rotation, fam.barycenter, fam.omega, material.kM)
+        dL1 = _rigid_momentum_jacobian(rigid, fam.rotation, fam.barycenter, v[f], fam.omega)
+        one = _restricted_spectrum(H1, dL1, T[f], 1e-8)[()]
+        assert np.array_equal(H[f], H1)
+        assert np.array_equal(dL[f], dL1)
+        assert np.array_equal(one.eigenvalues, _scipy_restricted_spectrum(H1, dL1, T[f]))
+        assert np.array_equal(report.eigenvalues[f], one.eigenvalues)
+        assert np.array_equal(fam.eigenvalues, one.eigenvalues)
+        assert report[f].floor == one.floor
+        assert (fam.n_negative, fam.n_zero, fam.n_positive) == (
+            one.n_negative, one.n_zero, one.n_positive)
 
 
 def test_catalog_enumerates_24_families(triaxial, material):

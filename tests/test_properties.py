@@ -12,7 +12,8 @@ derived apart from the kernel.  The integrator's
 prebuilt right-hand side and terminal events are checked, in the same
 cases, to equal the per-call formulas bit for bit.
 The monitor functions are checked on stacks of such states against their
-values state by state, and the spin fit and the comoving frame against
+values state by state, angular_momentum's component-wise cross products
+against np.cross bit for bit, and the spin fit and the comoving frame against
 sums over the full-rule nodes at degrees 1 and 2.  The body's constant
 tables are checked at basis degrees 1 and 2 through the methods built on
 them: stress_divergence (the stress-adjoint table) against its defining
@@ -325,6 +326,21 @@ def test_monitors_of_a_stack_are_the_monitors_of_each_state(triaxial, placements
         assert column.shape == expected.shape, name
         scale = np.max(np.abs(expected))
         assert np.max(np.abs(column - expected)) <= 1e-13 * scale, name
+
+
+@PROPERTY
+@given(placements=st.lists(PLACEMENTS, min_size=1, max_size=4))
+def test_angular_momentum_crosses_are_np_cross(triaxial, placements):
+    # angular_momentum writes the cross products A_a x Adot_b out by
+    # components; they must be np.cross's, bit for bit, on one state and a stack
+    states = [_state(triaxial, p) for p in placements]
+    stack = es.DeformationState(np.stack([s.q for s in states]), np.stack([s.qdot for s in states]))
+    for state in (states[0], stack):
+        rows = state.q.shape[:-1] + (-1, 3)
+        A, Adot = state.q.reshape(rows), state.qdot.reshape(rows)
+        cross = np.cross(A[..., :, None, :], Adot[..., None, :, :])
+        expected = np.einsum("ab,...abi->...i", triaxial.S, cross)
+        assert np.array_equal(es.angular_momentum(triaxial, state), expected)
 
 
 def _node_kinematics(body, state):

@@ -11,13 +11,21 @@ Times, with one BLAS thread:
   what Newton and the spectrum call;
 - the integrator's three terminal events (impact, escape, singular), each
   and their sum ``events``, which solve_ivp evaluates once per accepted
-  step.
+  step;
+- what the ``equilibria`` command runs: ``equilibrium_residual`` and
+  ``equilibrium_jacobian``, once per Newton iteration, at the relative
+  equilibrium the capture start solves for, and ``nondegeneracy_spectrum``
+  there;
+- ``catalog_per_family``, one ``rigid_quadrupole_catalog`` call on the
+  body and orbit radius of ``scenarios/catalog.yaml`` divided by its 24
+  families.
 
 Each routine runs on the equilibrium start of ``scenarios/capture.yaml``
 (basis degree 1, the benchmark's state) and on the same scenario at basis
-degree 2. Each figure is the best of R repeats of a batch of calls that
-takes at least 0.2 s, divided by the batch size: the best repeat is the
-one least disturbed by other work on the machine.
+degree 2; the catalog body takes the same basis degree. Each figure is the
+best of R repeats of a batch of calls that takes at least 0.2 s, divided
+by the batch size: the best repeat is the one least disturbed by other
+work on the machine.
 """
 
 from __future__ import annotations
@@ -36,16 +44,23 @@ import yaml  # noqa: E402
 
 from elastisat.dynamics import _rhs, _termination_events  # noqa: E402
 from elastisat.energetics import conservative_force, potential_hessian  # noqa: E402
+from elastisat.equilibria import (equilibrium_jacobian, equilibrium_residual,  # noqa: E402
+                                  nondegeneracy_spectrum, rigid_quadrupole_catalog,
+                                  solve_relative_equilibrium)
 from elastisat.scenario import scenario_from_mapping  # noqa: E402
 
-CAPTURE = Path(__file__).resolve().parents[1] / "scenarios" / "capture.yaml"
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+def _scenario(name: str, degree: int):
+    doc = yaml.safe_load((SCENARIOS / name).read_text())
+    doc["body"]["basis_degree"] = degree
+    return scenario_from_mapping(doc)
 
 
 def _calls(degree: int) -> dict:
-    """Name -> zero-argument call of every timed routine on the capture start at this degree."""
-    doc = yaml.safe_load(CAPTURE.read_text())
-    doc["body"]["basis_degree"] = degree
-    sc = scenario_from_mapping(doc)
+    """Name -> (zero-argument call, operations per call) of every timed routine at this degree."""
+    sc = _scenario("capture.yaml", degree)
     body, mat = sc.body, sc.material
     state = sc.initial_state()
     y = np.concatenate([state.q, state.qdot])
@@ -59,6 +74,19 @@ def _calls(degree: int) -> dict:
     for event in events:
         calls[event.__name__] = lambda event=event: event(0.0, y)
     calls["events"] = lambda: [event(0.0, y) for event in events]
+
+    L0, state0, omega0 = sc.equilibrium_seed()
+    eq = solve_relative_equilibrium(body, mat, L0, state0=state0, omega0=omega0)
+    calls["equilibrium_residual"] = lambda: equilibrium_residual(body, mat, eq.q, eq.omega, L0)
+    calls["equilibrium_jacobian"] = lambda: equilibrium_jacobian(body, mat, eq.q, eq.omega)
+    calls["nondegeneracy_spectrum"] = lambda: nondegeneracy_spectrum(body, mat, eq)
+    calls = {name: (call, 1) for name, call in calls.items()}
+
+    cat = _scenario("catalog.yaml", degree)
+    radius = cat.initial.orbit_radius
+    families = len(rigid_quadrupole_catalog(cat.body, cat.material, radius))
+    calls["catalog_per_family"] = (
+        lambda: rigid_quadrupole_catalog(cat.body, cat.material, radius), families)
     return calls
 
 
@@ -73,10 +101,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="repeats per routine (default 7)")
     args = parser.parse_args(argv)
-    print(f"{'degree':>6}  {'routine':<20} {'us/call':>9}")
+    print(f"{'degree':>6}  {'routine':<24} {'us/call':>9}")
     for degree in (1, 2):
-        for name, call in _calls(degree).items():
-            print(f"{degree:>6}  {name:<20} {best_us(call, args.repeat):>9.2f}", flush=True)
+        for name, (call, per_call) in _calls(degree).items():
+            us = best_us(call, args.repeat) / per_call
+            print(f"{degree:>6}  {name:<24} {us:>9.2f}", flush=True)
     return 0
 
 
