@@ -358,7 +358,7 @@ def evaluate_map(body: ReferenceBody, state: DeformationState, x):
     x = np.asarray(x, dtype=float).reshape(1, 3)
     A = state.q.reshape(-1, 3)
     zeta = (_eval_monomials(body.basis.exponents, x) @ A)[0]
-    grad = np.einsum("ai,ja->ij", A, _eval_monomial_gradients(body.basis.exponents, x)[0])
+    grad = _gradients(_eval_monomial_gradients(body.basis.exponents, x), state.q)[0]
     return zeta, grad
 
 
@@ -414,13 +414,11 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
     """Raise unless det(Dzeta) > 0 at every node and no node is at/inside the impact radius.
 
     A stack of states passes only if every one of them does. The determinant
-    is taken once per distinct gradient. Returns (node positions, node
-    gradients) so callers can reuse them; at basis degree 1 the gradients
-    are the one distinct gradient broadcast over the nodes, a read-only view.
+    is taken once per distinct gradient. Returns the node positions, shape
+    (..., nq, 3), so callers can reuse them.
     """
     Z = body.node_positions(state.q)
-    F = body.distinct_gradients(state.q)
-    dets = det3(F)
+    dets = det3(body.distinct_gradients(state.q))
     repeat = len(body.nodes) // len(body.distinct_Gm)  # nodes per distinct gradient
     if np.any(dets <= 0.0):
         raise SingularConfigurationError(
@@ -431,4 +429,4 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
         raise ImpactProximityError(
             f"material point at distance {dmin:.3e} <= impact radius {impact_radius:.3e}"
         )
-    return Z, F if repeat == 1 else np.broadcast_to(F, Z.shape + (3,))
+    return Z

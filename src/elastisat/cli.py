@@ -12,13 +12,16 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import json
 import logging
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -31,8 +34,7 @@ from .equilibria import (
     solve_relative_equilibrium,
 )
 from .errors import ConfigError, ElastisatError
-from .scenario import (OrbitalStart, Scenario, load_scenario, load_sweep, scenario_from_mapping,
-                       sweep_point)
+from .scenario import OrbitalStart, load_scenario, load_sweep, scenario_from_mapping, sweep_point
 
 log = logging.getLogger("elastisat")
 
@@ -57,34 +59,31 @@ def _jsonable(obj):
     return obj
 
 
-def _write_json(path: Path, doc: dict):
-    path.write_text(json.dumps(_jsonable(doc), sort_keys=True, indent=2) + "\n")
+def _encode(name: str, content) -> bytes:
+    """The bytes of one output, by its suffix.
+
+    A .csv content is (header, rows), written by csv.writer with its \\r\\n
+    line ends; floats come out in shortest round-trip form and None as an
+    empty cell. Anything else is JSON, keys sorted, indented by 2.
+    """
+    if name.endswith(".csv"):
+        header, rows = content
+        text = io.StringIO()
+        writer = csv.writer(text)
+        writer.writerow(header)
+        writer.writerows(_jsonable(rows))
+        return text.getvalue().encode()
+    return (json.dumps(_jsonable(content), sort_keys=True, indent=2) + "\n").encode()
 
 
-def _write_monitor_csv(path: Path, trajectory):
-    rows = trajectory.monitor_rows()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MONITOR_COLUMNS)
-        for row in rows:
-            writer.writerow([repr(float(x)) for x in row])
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(outdir: Path, config_hash: str, outputs, wall_time: float, extra=None):
-    manifest = {
-        "tool": "elastisat",
-        "version": _VERSION,
-        "config_sha256": config_hash,
-        "outputs": {name: _sha256(outdir / name) for name in sorted(outputs)},
-        "wall_time_s": wall_time,
-    }
-    if extra:
-        manifest.update(extra)
-    _write_json(outdir / "manifest.json", manifest)
+def _write(outdir: Path, files: dict) -> dict:
+    """Write each {name: content} under outdir; returns {name: SHA-256 of the bytes written}."""
+    digests = {}
+    for name, content in files.items():
+        data = _encode(name, content)
+        (outdir / name).write_bytes(data)
+        digests[name] = hashlib.sha256(data).hexdigest()
+    return digests
 
 
 def _output_dir(path) -> Path:
@@ -105,12 +104,33 @@ def _phase(phases: dict, name: str):
     phases[name] = time.perf_counter() - started
 
 
-def _simulate_scenario(scenario: Scenario, outdir: Path, phases: dict) -> dict:
-    """Run one scenario end to end and write monitors.csv + result.json.
+def _finish(outdir: Path, config_hash: str, files: dict, started: float, phases: dict,
+            summary: str, extra: dict) -> int:
+    """Write the outputs (the write phase), then the manifest; print the summary line."""
+    with _phase(phases, "write"):
+        outputs = _write(outdir, files)
+    manifest = {"tool": "elastisat", "version": _VERSION, "config_sha256": config_hash,
+                "outputs": outputs, "wall_time_s": time.perf_counter() - started,
+                "phases_s": phases, **extra}
+    _write(outdir, {"manifest.json": manifest})
+    print(summary)
+    return 0
 
-    The wall time of each phase goes into phases (initial_state, integrate,
-    classify, write).
-    """
+
+def _run(command, args) -> int:
+    """Load the scenario, make --out, then write what command(scenario, phases) returns:
+    (summary line, {file name: content}, extra manifest fields)."""
+    started = time.perf_counter()
+    phases = {}
+    with _phase(phases, "load"):
+        scenario = load_scenario(args.config)
+    outdir = _output_dir(args.out)
+    summary, files, extra = command(scenario, phases)
+    return _finish(outdir, scenario.config_hash(), files, started, phases, summary, extra)
+
+
+def _cmd_simulate(scenario, phases):
+    """Integrate one scenario and classify it: monitors.csv and result.json."""
     with _phase(phases, "initial_state"):
         state0 = scenario.initial_state()
     log.info("integrating %s to t=%g with %s", scenario.name,
@@ -154,53 +174,30 @@ def _simulate_scenario(scenario: Scenario, outdir: Path, phases: dict) -> dict:
             "L_drift_max": float(np.max(np.abs(L - L[0]))),
         },
     }
-    with _phase(phases, "write"):
-        _write_monitor_csv(outdir / "monitors.csv", trajectory)
-        _write_json(outdir / "result.json", result)
     log.info("%s: %s (%s)", scenario.name, verdict.outcome.value, verdict.reason)
-    return result
+    files = {"monitors.csv": (MONITOR_COLUMNS, trajectory.monitor_rows()), "result.json": result}
+    return (f"{scenario.name}: {result['outcome']} ({result['reason']})", files,
+            {k: result["audit"][k] for k in ("H_drift_rel", "L_drift_max")})
 
 
-def _cmd_simulate(args) -> int:
-    started = time.perf_counter()
-    phases = {}
-    with _phase(phases, "load"):
-        scenario = load_scenario(args.config)
-    outdir = _output_dir(args.out)
-    result = _simulate_scenario(scenario, outdir, phases)
-    _write_manifest(
-        outdir, scenario.config_hash(), ["monitors.csv", "result.json"],
-        time.perf_counter() - started,
-        extra={"H_drift_rel": result["audit"]["H_drift_rel"],
-               "L_drift_max": result["audit"]["L_drift_max"],
-               "phases_s": phases},
-    )
-    print(f"{scenario.name}: {result['outcome']} ({result['reason']})")
-    return 0
-
-
-def _cmd_equilibria(args) -> int:
-    started = time.perf_counter()
-    scenario = load_scenario(args.config)
-    outdir = _output_dir(args.out)
-
-    L0, state0, omega0 = scenario.equilibrium_seed()
-    eq = solve_relative_equilibrium(
-        scenario.body, scenario.material, L0, state0=state0, omega0=omega0
-    )
-    report = nondegeneracy_spectrum(scenario.body, scenario.material, eq)
+def _cmd_equilibria(scenario, phases):
+    """Solve the scenario's relative equilibrium and its spectrum: equilibrium.json."""
+    with _phase(phases, "solve"):
+        L0, state0, omega0 = scenario.equilibrium_seed()
+        eq = solve_relative_equilibrium(
+            scenario.body, scenario.material, L0, state0=state0, omega0=omega0
+        )
+    with _phase(phases, "spectrum"):
+        report = nondegeneracy_spectrum(scenario.body, scenario.material, eq)
     doc = asdict(eq)
     doc["spectrum"] = {**asdict(report), "nondegenerate": report.nondegenerate}
     doc["config_sha256"] = scenario.config_hash()
-    _write_json(outdir / "equilibrium.json", doc)
-    _write_manifest(outdir, scenario.config_hash(), ["equilibrium.json"],
-                    time.perf_counter() - started)
-    print(
+    summary = (
         f"{scenario.name}: relative equilibrium at radius {eq.orbit_radius:.6g}, "
         f"residual {eq.residual_norm:.3e}, "
         f"{'nondegenerate' if report.nondegenerate else 'degenerate'}"
     )
-    return 0
+    return summary, {"equilibrium.json": doc}, {}
 
 
 _CATALOG_COLUMNS = (
@@ -208,129 +205,95 @@ _CATALOG_COLUMNS = (
     "spin_rate", "energy", "L_z", "res_force_norm", "res_torque_norm",
     "n_negative", "n_zero", "n_positive", "stable",
 )
+_FAMILY_FIELDS = ("radial_axis", "normal_axis", "rotation", "barycenter", "omega", "energy",
+                  "angular_momentum", "eigenvalues", "stable")  # catalog.json, per family
 
 
-def _cmd_catalog(args) -> int:
-    started = time.perf_counter()
-    scenario = load_scenario(args.config)
+def _cmd_catalog(scenario, phases):
+    """The 24 rigid synchronous families at the orbit radius: catalog.csv and catalog.json."""
     if not isinstance(scenario.initial, OrbitalStart):
         raise ConfigError("catalog needs initial.kind orbital to fix the orbit radius")
-    outdir = _output_dir(args.out)
     radius = scenario.initial.orbit_radius
-    entries = rigid_quadrupole_catalog(scenario.body, scenario.material, radius)
+    with _phase(phases, "catalog"):
+        entries = rigid_quadrupole_catalog(scenario.body, scenario.material, radius)
 
-    with open(outdir / "catalog.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_CATALOG_COLUMNS)
-        for i, e in enumerate(entries):
-            writer.writerow([
-                i, e.radial_axis[0], e.radial_axis[1], e.normal_axis[0], e.normal_axis[1],
-                repr(e.spin_rate), repr(e.energy), repr(float(e.angular_momentum[2])),
-                repr(float(np.linalg.norm(e.res_force))),
-                repr(float(np.linalg.norm(e.res_torque))),
-                e.n_negative, e.n_zero, e.n_positive, int(e.stable),
-            ])
+    rows = [
+        [i, *e.radial_axis, *e.normal_axis, e.spin_rate, e.energy, e.angular_momentum[2],
+         np.linalg.norm(e.res_force), np.linalg.norm(e.res_torque),
+         e.n_negative, e.n_zero, e.n_positive, int(e.stable)]
+        for i, e in enumerate(entries)
+    ]
     doc = {
         "config_sha256": scenario.config_hash(),
         "orbit_radius": radius,
-        "families": [
-            {
-                "radial_axis": list(e.radial_axis),
-                "normal_axis": list(e.normal_axis),
-                "rotation": e.rotation,
-                "barycenter": e.barycenter,
-                "omega": e.omega,
-                "energy": e.energy,
-                "angular_momentum": e.angular_momentum,
-                "eigenvalues": e.eigenvalues,
-                "stable": e.stable,
-            }
-            for e in entries
-        ],
+        "families": [{k: getattr(e, k) for k in _FAMILY_FIELDS} for e in entries],
     }
-    _write_json(outdir / "catalog.json", doc)
-    _write_manifest(outdir, scenario.config_hash(), ["catalog.csv", "catalog.json"],
-                    time.perf_counter() - started)
     n_stable = sum(1 for e in entries if e.stable)
-    print(f"{scenario.name}: {len(entries)} rigid families at radius {radius:g}, "
-          f"{n_stable} energetically stable")
-    return 0
-
-
-def _run_sweep_point(payload):
-    index, doc, outdir_str = payload
-    outdir = Path(outdir_str) / f"point-{index:03d}"
-    try:
-        scenario = scenario_from_mapping(doc)
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "config.json", doc)
-        result = _simulate_scenario(scenario, outdir, {})
-        return {
-            "index": index,
-            "outcome": result["outcome"],
-            "termination": result["termination"],
-            "reason": result["reason"],
-            "H_final": float(result["final"]["H"]),
-            "L_z_final": float(result["final"]["L"][2]),
-            "t_final": float(result["t_final"]),
-        }
-    except ElastisatError as exc:
-        outdir.mkdir(parents=True, exist_ok=True)
-        _write_json(outdir / "error.json",
-                    {"index": index, "error": str(exc), "error_type": type(exc).__name__})
-        return {
-            "index": index,
-            "outcome": "error",
-            "termination": "",
-            "reason": str(exc),
-            "H_final": None,
-            "L_z_final": None,
-            "t_final": None,
-        }
+    summary = (f"{scenario.name}: {len(entries)} rigid families at radius {radius:g}, "
+               f"{n_stable} energetically stable")
+    return summary, {"catalog.csv": (_CATALOG_COLUMNS, rows), "catalog.json": doc}, {}
 
 
 _SUMMARY_COLUMNS = ("index", "value", "outcome", "termination", "reason",
                     "H_final", "L_z_final", "t_final")
 
 
+def _run_sweep_point(payload):
+    """Simulate one sweep point into outdir/point-NNN; returns its summary.csv row.
+    A point that fails writes error.json, and its row has empty final values."""
+    index, value, doc, outdir_str = payload
+    outdir = Path(outdir_str) / f"point-{index:03d}"
+    row = [index, json.dumps(value)]
+    try:
+        scenario = scenario_from_mapping(doc)
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write(outdir, {"config.json": doc})
+        _, files, _ = _cmd_simulate(scenario, {})
+        _write(outdir, files)
+    except ElastisatError as exc:
+        outdir.mkdir(parents=True, exist_ok=True)
+        _write(outdir, {"error.json": {"index": index, "error": str(exc),
+                                       "error_type": type(exc).__name__}})
+        return row + ["error", "", str(exc), None, None, None]
+    result = files["result.json"]
+    return row + [result["outcome"], result["termination"], result["reason"],
+                  result["final"]["H"], result["final"]["L"][2], result["t_final"]]
+
+
 def _cmd_sweep(args) -> int:
     started = time.perf_counter()
-    base, parameter, values = load_sweep(args.config)
+    phases = {}
+    with _phase(phases, "load"):
+        base, parameter, values = load_sweep(args.config)
     outdir = _output_dir(args.out)
 
-    payloads = [
-        (i, sweep_point(base, parameter, value, i), str(outdir))
-        for i, value in enumerate(values)
-    ]
-    if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_run_sweep_point, payloads))
-    else:
-        rows = [_run_sweep_point(p) for p in payloads]
-    rows.sort(key=lambda r: r["index"])
+    with _phase(phases, "points"):
+        payloads = [(i, value, sweep_point(base, parameter, value, i), str(outdir))
+                    for i, value in enumerate(values)]
+        if args.workers > 1:
+            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+                rows = list(pool.map(_run_sweep_point, payloads))
+        else:
+            rows = [_run_sweep_point(p) for p in payloads]
 
     sweep_hash = hashlib.sha256(
         json.dumps({"base": base, "parameter": parameter, "values": values},
                    sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
+    counts = Counter(row[2] for row in rows)
+    summary = f"sweep over {parameter}: " + ", ".join(
+        f"{k}={v}" for k, v in sorted(counts.items()))
+    return _finish(outdir, sweep_hash, {"summary.csv": (_SUMMARY_COLUMNS, rows)},
+                   started, phases, summary, {})
 
-    with open(outdir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_SUMMARY_COLUMNS)
-        for row, value in zip(rows, values):
-            writer.writerow([
-                row["index"], json.dumps(value), row["outcome"], row["termination"],
-                row["reason"],
-                *("" if row[k] is None else repr(row[k])
-                  for k in ("H_final", "L_z_final", "t_final")),
-            ])
-    _write_manifest(outdir, sweep_hash, ["summary.csv"], time.perf_counter() - started)
-    counts = {}
-    for row in rows:
-        counts[row["outcome"]] = counts.get(row["outcome"], 0) + 1
-    print(f"sweep over {parameter}: " + ", ".join(
-        f"{k}={v}" for k, v in sorted(counts.items())))
-    return 0
+
+# (name, help, what main calls with the parsed arguments)
+_COMMANDS = (
+    ("simulate", "integrate one scenario and classify the outcome", partial(_run, _cmd_simulate)),
+    ("equilibria", "solve a relative equilibrium and its spectrum", partial(_run, _cmd_equilibria)),
+    ("catalog", "enumerate the 24 rigid synchronous families", partial(_run, _cmd_catalog)),
+    ("sweep", "run a parameter sweep of simulate", _cmd_sweep),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -341,32 +304,21 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sp = sub.add_parser("simulate", help="integrate one scenario and classify the outcome")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_simulate)
-
-    sp = sub.add_parser("equilibria", help="solve a relative equilibrium and its spectrum")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_equilibria)
-
-    sp = sub.add_parser("catalog", help="enumerate the 24 rigid synchronous families")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.set_defaults(func=_cmd_catalog)
-
-    sp = sub.add_parser("sweep", help="run a parameter sweep of simulate")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--workers", type=int, default=1)
-    sp.set_defaults(func=_cmd_sweep)
+    for name, help_text, func in _COMMANDS:
+        sp = sub.add_parser(name, help=help_text)
+        sp.add_argument("--config", required=True)
+        sp.add_argument("--out", required=True)
+        if func is _cmd_sweep:
+            sp.add_argument("--workers", type=int, default=1)
+        sp.set_defaults(func=func)
     return parser
 
 
+_PARSER = build_parser()  # built once per process; parse_args leaves it unchanged
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s",

@@ -153,7 +153,7 @@ def gravitational_energy(
     body: ReferenceBody, state: DeformationState, params: MaterialParams
 ) -> float | np.ndarray:
     """U_g = quadrature of -kM rho0 / |zeta(x)| over the body."""
-    Z, _ = require_regular(body, state)
+    Z = require_regular(body, state)
     return -params.kM * body.density * np.sum(body.weights / np.linalg.norm(Z, axis=-1), axis=-1)
 
 

@@ -49,6 +49,12 @@ from .errors import (
     SingularConfigurationError,
 )
 
+# An eigenvalue of the restricted spectrum with modulus below _FLOOR_REL times
+# the spectral radius counts as zero; principal moments closer than
+# _DEGENERACY_TOL times the largest make the rigid catalog degenerate.
+_FLOOR_REL = 1e-8
+_DEGENERACY_TOL = 1e-8
+
 
 def equilibrium_velocity(q: np.ndarray, omega) -> np.ndarray:
     """Coefficients of the rigid velocity field zetadot = omega x zeta."""
@@ -346,7 +352,6 @@ def nondegeneracy_spectrum(
     body: ReferenceBody,
     material: MaterialParams,
     eq: RelativeEquilibrium,
-    floor_rel: float = 1e-8,
 ) -> NondegeneracyReport:
     """Restricted second-variation test of the augmented energy.
 
@@ -355,7 +360,7 @@ def nondegeneracy_spectrum(
     restricts it to the kernel of dL at the
     equilibrium, projects out the tangent of the rotation orbit about
     L0, and reports the eigenvalue signature.  Eigenvalues with modulus
-    below floor_rel times the spectral radius count as zero.
+    below _FLOOR_REL times the spectral radius count as zero.
     """
     q = eq.q
     v = eq.velocity
@@ -373,7 +378,7 @@ def nondegeneracy_spectrum(
         (q.reshape(-1, 3) @ E.T).reshape(-1),
         (v.reshape(-1, 3) @ E.T).reshape(-1),
     ])
-    return _restricted_spectrum(Hfull, np.hstack([Dq, Dv]), T, floor_rel)[()]
+    return _restricted_spectrum(Hfull, np.hstack([Dq, Dv]), T)[()]
 
 
 def _null_space(A):
@@ -392,12 +397,12 @@ def _null_space(A):
     return np.ascontiguousarray(vh[..., int(np.max(rank)):, :].mT)
 
 
-def _restricted_spectrum(H, dL, T, floor_rel) -> NondegeneracyReport:
+def _restricted_spectrum(H, dL, T) -> NondegeneracyReport:
     """Signature of the Hessian H on ker dL with the orbit tangent T projected out.
 
     H (..., n, n), dL (..., m, n) and T (..., n) may carry leading axes,
     and the report carries them too. Eigenvalues with modulus below
-    floor_rel times the spectral radius count as zero. Every dL of a stack
+    _FLOOR_REL times the spectral radius count as zero. Every dL of a stack
     must have the same rank, and T must have a part in ker dL for all of
     them or for none.
     """
@@ -412,7 +417,7 @@ def _restricted_spectrum(H, dL, T, floor_rel) -> NondegeneracyReport:
         raise ValueError("the orbit tangent leaves ker dL for some matrices of the stack only")
 
     eigenvalues = np.linalg.eigvalsh(Hr)
-    floor = floor_rel * np.max(np.abs(eigenvalues), axis=-1)
+    floor = _FLOOR_REL * np.max(np.abs(eigenvalues), axis=-1)
     below = floor[..., None]
     return NondegeneracyReport(
         eigenvalues=eigenvalues,
@@ -563,8 +568,6 @@ def rigid_quadrupole_catalog(
     body: ReferenceBody,
     material: MaterialParams,
     orbit_radius: float,
-    degeneracy_tol: float = 1e-8,
-    floor_rel: float = 1e-8,
 ) -> list:
     """All 24 axis-aligned rigid synchronous families at one orbit radius.
 
@@ -587,10 +590,10 @@ def rigid_quadrupole_catalog(
     scale = float(np.max(moments))
     gaps = [abs(moments[0] - moments[1]), abs(moments[1] - moments[2]),
             abs(moments[0] - moments[2])]
-    if min(gaps) <= degeneracy_tol * scale:
+    if min(gaps) <= _DEGENERACY_TOL * scale:
         raise DegenerateCatalogError(
             f"principal moments {moments} are not pairwise distinct "
-            f"(relative tolerance {degeneracy_tol:g})"
+            f"(relative tolerance {_DEGENERACY_TOL:g})"
         )
 
     kM = material.kM
@@ -650,7 +653,7 @@ def rigid_quadrupole_catalog(
     axis = L / np.sqrt(np.vecdot(L, L))[:, None]
     T = np.concatenate([np.cross(axis, c), (R.mT @ axis[..., None])[..., 0],
                         np.cross(axis, v), np.cross(axis, omega)], axis=-1)
-    report = _restricted_spectrum(H, dL, T, floor_rel)
+    report = _restricted_spectrum(H, dL, T)
 
     entries = []
     for f, (radial_axis, normal_axis) in enumerate(axes):

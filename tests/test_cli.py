@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 import yaml
 
+from elastisat import cli
 from elastisat.cli import main
 from elastisat.dynamics import MONITOR_COLUMNS
 
@@ -74,6 +75,41 @@ def test_simulate_writes_monitors_result_and_manifest(tmp_path, capsys):
     assert all(v >= 0.0 for v in phases.values())
     assert sum(phases.values()) <= manifest["wall_time_s"]
     assert "phases_s" not in result
+
+
+PHASES = {
+    "simulate": {"load", "initial_state", "integrate", "classify", "write"},
+    "equilibria": {"load", "solve", "spectrum", "write"},
+    "catalog": {"load", "catalog", "write"},
+    "sweep": {"load", "points", "write"},
+}
+
+
+@pytest.mark.parametrize("command", list(PHASES))
+def test_manifest_hashes_every_output_and_times_each_phase(tmp_path, command):
+    doc = _orbital_doc(integrator={"t_end": 0.5, "record_every": 0.25})
+    if command == "sweep":
+        doc = {"base": doc, "sweep": {"parameter": "integrator.t_end", "values": [0.5, 0.25]}}
+    cfg = _write(tmp_path / "run.yaml", doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["outputs"]
+    for name, digest in manifest["outputs"].items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest
+    phases = manifest["phases_s"]
+    assert set(phases) == PHASES[command]
+    assert all(v >= 0.0 for v in phases.values())
+    assert sum(phases.values()) <= manifest["wall_time_s"]
+
+
+def test_main_parses_with_the_parser_built_at_import(tmp_path, monkeypatch):
+    def rebuilt():
+        raise AssertionError("build_parser runs once per process, at import")
+
+    monkeypatch.setattr(cli, "build_parser", rebuilt)
+    cfg = _write(tmp_path / "eq.yaml", _orbital_doc())
+    assert main(["equilibria", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
 
 
 def test_simulate_conservative_manifest_reports_energy_drift(tmp_path):

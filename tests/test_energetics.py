@@ -194,7 +194,7 @@ def test_kernel_stress_force_matches_full_rule_quadrature(degree, random_state):
     rng = np.random.default_rng(47 + degree)
     for _ in range(3):
         state = random_state(body, rng, radius=3.0)
-        Z, _ = require_regular(body, state)
+        Z = require_regular(body, state)
         kernel = force_kernel(body, mat, eta)(np.stack([state.q, state.qdot]))
         # gravity by hand: planet plus the double-counted softened pair sum
         m = body.density * body.weights
