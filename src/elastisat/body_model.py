@@ -29,7 +29,6 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import (
     DegenerateBasisError,
@@ -154,7 +153,8 @@ class ReferenceBody:
     [q, a nm + b] is P_qa P_qb (gravity and its Hessian); ``distinct_Gm``,
     Gm[:1] when every node's row of Gm equals the first (basis degree 1)
     and Gm itself otherwise (the pointwise checks); ``S_inv`` the inverse
-    of S (solve_mass); ``stress_adjoint`` (nm, 3 ns), whose entry
+    of S, L^-T L^-1 from numpy's Cholesky factor S = L L^T (solve_mass);
+    ``stress_adjoint`` (nm, 3 ns), whose entry
     [a, 3s + j] is w_s d_j m_a(x_s) (stress_divergence); and
     ``stress_block`` (ns, 2 nm, 6), whose entries [s, w nm + a, 3w + j]
     are d_j m_a(x_s) for w = 0, 1 and zero elsewhere (the force kernel).
@@ -320,9 +320,11 @@ def build_ellipsoid_body(
     second_moment = np.einsum("q,qi,qj->ij", rho_w, nodes, nodes)
 
     try:
-        S_inv = cho_solve(cho_factor(S), np.eye(len(S)))
+        L = np.linalg.cholesky(S)
     except np.linalg.LinAlgError as exc:
         raise DegenerateBasisError(f"mass matrix is not positive definite: {exc}") from exc
+    L_inv = np.linalg.inv(L)
+    S_inv = L_inv.T @ L_inv
     stress_Gm = _eval_monomial_gradients(exponents, stress_nodes)
     ns, nm = len(stress_Gm), len(S)
     stress_block = np.zeros((ns, 2, nm, 2, 3))

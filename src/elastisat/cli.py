@@ -18,7 +18,6 @@ import logging
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
@@ -26,6 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .classifier import classify_outcome
 from .dynamics import MONITOR_COLUMNS, integrate
 from .equilibria import (
@@ -37,13 +37,6 @@ from .errors import ConfigError, ElastisatError
 from .scenario import OrbitalStart, load_scenario, load_sweep, scenario_from_mapping, sweep_point
 
 log = logging.getLogger("elastisat")
-
-try:
-    from importlib.metadata import version as _pkg_version
-
-    _VERSION = _pkg_version("elastisat")
-except Exception:  # pragma: no cover - not installed
-    _VERSION = "unknown"
 
 
 def _jsonable(obj):
@@ -109,7 +102,7 @@ def _finish(outdir: Path, config_hash: str, files: dict, started: float, phases:
     """Write the outputs (the write phase), then the manifest; print the summary line."""
     with _phase(phases, "write"):
         outputs = _write(outdir, files)
-    manifest = {"tool": "elastisat", "version": _VERSION, "config_sha256": config_hash,
+    manifest = {"tool": "elastisat", "version": __version__, "config_sha256": config_hash,
                 "outputs": outputs, "wall_time_s": time.perf_counter() - started,
                 "phases_s": phases, **extra}
     _write(outdir, {"manifest.json": manifest})
@@ -271,6 +264,8 @@ def _cmd_sweep(args) -> int:
         payloads = [(i, value, sweep_point(base, parameter, value, i), str(outdir))
                     for i, value in enumerate(values)]
         if args.workers > 1:
+            from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
+
             with ProcessPoolExecutor(max_workers=args.workers) as pool:
                 rows = list(pool.map(_run_sweep_point, payloads))
         else:

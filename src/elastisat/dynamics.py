@@ -7,11 +7,13 @@ exact gradient force of the conservative potentials and g the viscous
 force. The right-hand side is built once per run (_rhs): it holds one
 kernel and the inverse Gram matrix, and each call passes the stacked
 (q, qdot) to the kernel and solves the mass matrix with one product into
-a fresh output array. solve_ivp integrates it; termination is event-based
-(impact, escape ceiling, loss of regularity on the distinct node
-gradients; the singular event state itself has no monitors and is not
-recorded), each event binds the body tables it reads once per run, and
-the event that fires is logged at debug level.
+a fresh output array. scipy's solve_ivp integrates it; scipy is imported
+by the first integration, not with this module, so the commands that
+never integrate (equilibria, catalog) do not load it. Termination is
+event-based (impact, escape ceiling, loss of regularity on the distinct
+node gradients; the singular event state itself has no monitors and is
+not recorded), each event binds the body tables it reads once per run,
+and the event that fires is logged at debug level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
 the classifier reads. They are built in one pass, each monitor evaluated
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .body_model import (DeformationState, ReferenceBody, _gradients, _rows, det3,
                          identity_coefficients, inertia, require_regular)
@@ -153,6 +154,13 @@ def _take_rows(record, idx):
         elif is_dataclass(value):
             rows[f.name] = _take_rows(value, idx)
     return replace(record, **rows)
+
+
+def solve_ivp(*args, **kwargs):
+    """scipy.integrate.solve_ivp, which the first call imports; every call forwards to it."""
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityParams):

@@ -23,6 +23,7 @@ leading axes.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,8 @@ from .errors import (
 # _DEGENERACY_TOL times the largest make the rigid catalog degenerate.
 _FLOOR_REL = 1e-8
 _DEGENERACY_TOL = 1e-8
+
+log = logging.getLogger(__name__)
 
 
 def equilibrium_velocity(q: np.ndarray, omega) -> np.ndarray:
@@ -228,7 +231,9 @@ def solve_relative_equilibrium(
     admissible set (det Dzeta <= 0 or a node at the planet) is rejected
     like a poor one.  Raises NoConvergenceError (with the residual trace
     attached) if the infinity norm of the residual does not reach tol
-    within max_iter iterations, or if the line search stalls.
+    within max_iter iterations, or if the line search stalls.  At debug
+    level every iteration logs its residual and step norms, each step cut
+    and the accepted step.
     """
     L0 = np.asarray(L0, dtype=float)
     if L0.shape != (3,) or not np.any(L0):
@@ -262,6 +267,7 @@ def solve_relative_equilibrium(
         J = np.vstack([equilibrium_jacobian(body, material, vec[:nq], vec[nq:]), T0])
         return J, np.append(-res_vec, -T0 @ (vec - u0))
 
+    debug = log.isEnabledFor(logging.DEBUG)  # the step norm is taken for the log alone
     res = residual(u)
     norm = float(np.linalg.norm(res))
     trace = [norm]
@@ -271,14 +277,20 @@ def solve_relative_equilibrium(
             break
         J, rhs = linearization(u, res)
         step = np.linalg.lstsq(J, rhs, rcond=None)[0]
+        if debug:
+            log.debug("Newton iteration %d: |res| %.3e, |step| %.3e",
+                      iterations, norm, np.linalg.norm(step))
         alpha = 1.0
         accepted = False
         while alpha >= 1e-6:
             u_try = u + alpha * step
             try:
                 res_try = residual(u_try)
-            except (SingularConfigurationError, ImpactProximityError):
+            except (SingularConfigurationError, ImpactProximityError) as exc:
                 # a trial point outside the admissible set is rejected like a poor one
+                if debug:
+                    log.debug("Newton iteration %d: step cut at alpha %g, trial point "
+                              "inadmissible (%s)", iterations, alpha, exc)
                 alpha *= 0.5
                 continue
             norm_try = float(np.linalg.norm(res_try))
@@ -286,7 +298,14 @@ def solve_relative_equilibrium(
                 u, res, norm = u_try, res_try, norm_try
                 trace.append(norm)
                 accepted = True
+                if debug:
+                    log.debug("Newton iteration %d: accepted alpha %g, |res| %.3e",
+                              iterations, alpha, norm)
                 break
+            if debug:
+                log.debug("Newton iteration %d: step cut at alpha %g, trial |res| %.3e, "
+                          "no sufficient decrease from %.3e",
+                          iterations, alpha, norm_try, norm)
             alpha *= 0.5
         if not accepted:
             raise NoConvergenceError(

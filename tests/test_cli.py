@@ -2,13 +2,15 @@
 
 Commands run in-process through main(argv) so exit codes and outputs are
 observable without spawning interpreters; one smoke test goes through
-`python -m elastisat` to prove the packaging wiring.
+`python -m elastisat` to prove the packaging wiring, and fresh
+interpreters show which modules an import or a command loads.
 """
 
 import csv
 import datetime
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
+import elastisat
 from elastisat import cli
 from elastisat.cli import main
 from elastisat.dynamics import MONITOR_COLUMNS
@@ -439,3 +442,34 @@ def test_module_entrypoint_smoke(tmp_path):
     )
     assert proc.returncode == 0
     assert "cli-test:" in proc.stdout
+
+
+_LOADED_AFTER = """
+import json, sys
+{run}
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")
+                        or m == "concurrent.futures.process")))
+"""
+
+
+@pytest.mark.parametrize("command", ["import", "equilibria", "catalog"])
+def test_import_equilibria_and_catalog_load_no_scipy(tmp_path, command):
+    # scipy is loaded by the first integration and multiprocessing by a
+    # sweep with workers; importing the package and the commands that
+    # never integrate need neither.  Each case runs in a fresh interpreter.
+    out = tmp_path / "out"
+    if command == "import":
+        run = "import elastisat"
+    else:
+        cfg = _write(tmp_path / "run.yaml", _orbital_doc())
+        run = (f"from elastisat.cli import main\n"
+               f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]) == 0")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _LOADED_AFTER.format(run=run)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+                          cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    if command != "import":
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["version"] == elastisat.__version__

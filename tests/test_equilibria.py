@@ -163,6 +163,37 @@ def test_newton_names_a_stationary_point_that_is_no_root(triaxial, material, dra
     assert info.value.residual_trace[-1] < 1e-5
 
 
+@pytest.mark.parametrize("draw", [None, 5], ids=["synchronous", "draw5"])
+def test_newton_debug_log_traces_every_iteration_and_cut(triaxial, material, caplog, draw):
+    # The plain synchronous seed at r = 2.5 takes full steps; draw 5
+    # reaches inadmissible trial points (see above) and converges after
+    # cuts.  Debug logging reads what Newton computes and changes no iterate.
+    if draw is None:
+        guess, omega0 = es.synchronous_guess(triaxial, material, 2.5)
+        L0 = es.angular_momentum(triaxial, guess)
+    else:
+        L0, guess, omega0 = _perturbed_seed(triaxial, material, draw)
+    quiet = es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+    with caplog.at_level("DEBUG", logger="elastisat.equilibria"):
+        eq = es.solve_relative_equilibrium(triaxial, material, L0, state0=guess, omega0=omega0)
+    assert np.array_equal(eq.q, quiet.q) and eq.residual_trace == quiet.residual_trace
+
+    lines = [r.getMessage() for r in caplog.records if r.name == "elastisat.equilibria"]
+    steps = [m for m in lines if ", |step| " in m]
+    accepted = [m for m in lines if ": accepted alpha " in m]
+    cuts = [m for m in lines if ": step cut at alpha " in m]
+    assert len(steps) == len(accepted) == eq.iterations - 1
+    assert len(steps) + len(accepted) + len(cuts) == len(lines)
+    trace = [f"{v:.3e}" for v in eq.residual_trace]
+    assert [m.split("|res| ")[1].split(",")[0] for m in steps] == trace[:-1]
+    assert [m.split("|res| ")[1] for m in accepted] == trace[1:]
+    assert all(float(m.split("|step| ")[1]) > 0 for m in steps)
+    if draw == 5:
+        assert any("trial point inadmissible" in m for m in cuts)
+    else:
+        assert not cuts
+
+
 def _fd_jacobian(body, material, q, omega):
     """Central finite differences of equilibrium_residual in (q, omega)."""
     u = np.concatenate([q, omega])
