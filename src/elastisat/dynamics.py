@@ -7,13 +7,14 @@ exact gradient force of the conservative potentials and g the viscous
 force. The right-hand side is built once per run (_rhs): it holds one
 kernel and the inverse Gram matrix, and each call passes the stacked
 (q, qdot) to the kernel and solves the mass matrix with one product into
-a fresh output array. scipy's solve_ivp integrates it; scipy is imported
-by the first integration, not with this module, so the commands that
-never integrate (equilibria, catalog) do not load it. Termination is
-event-based (impact, escape ceiling, loss of regularity on the distinct
-node gradients; the singular event state itself has no monitors and is
-not recorded), each event binds the body tables it reads once per run,
-and the event that fires is logged at debug level.
+the stage row the integrator hands it. The integrator is the program's
+own DOP853 loop (dop853.solve_ivp, bit for bit scipy's solve_ivp with
+method DOP853), so no command loads scipy. Termination is event-based
+(impact, escape ceiling, loss of regularity on the distinct node
+gradients; the singular event state itself has no monitors and is not
+recorded), each event binds the body tables it reads once per run, and
+the event that fires and each run's step counts are logged at debug
+level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
 the classifier reads. They are built in one pass, each monitor evaluated
@@ -33,6 +34,7 @@ import numpy as np
 from .body_model import (DeformationState, ReferenceBody, _gradients, _rows, det3,
                          identity_coefficients, inertia, require_regular)
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
+from .dop853 import MIN_RTOL, solve_ivp
 from .energetics import (EnergyBreakdown, MaterialParams, angular_momentum, energy_breakdown,
                          force_kernel)
 from .errors import InvalidParameterError
@@ -42,7 +44,7 @@ MONITOR_COLUMNS = (
     "Lx", "Ly", "Lz", "diss_rate", "Cdot_max", "Y_norm", "omega_norm",
 )
 
-_SCIPY_METHODS = {"dop853": "DOP853"}
+_METHODS = {"dop853": "DOP853"}
 
 log = logging.getLogger(__name__)
 
@@ -51,8 +53,10 @@ log = logging.getLogger(__name__)
 class IntegratorSettings:
     """Time-integration controls.
 
-    method: the solve_ivp scheme; 'dop853' (adaptive embedded RK, order 8)
-        is the one method.
+    method: the integration scheme; 'dop853' (adaptive embedded RK, order
+        8, run by dop853.solve_ivp) is the one method.
+    rel_tol: at least 100 machine epsilons (dop853.MIN_RTOL, about
+        2.2e-14), the smallest the step control is meant for; abs_tol > 0.
     impact_radius: terminate when any material point gets this close to
         the planet; escape_radius: hard ceiling on the barycenter distance
         that stops runaway runs (classification happens downstream).
@@ -70,10 +74,13 @@ class IntegratorSettings:
     escape_radius: float = 1e3
 
     def __post_init__(self):
-        if self.method not in _SCIPY_METHODS:
+        if self.method not in _METHODS:
             raise InvalidParameterError(f"unknown integrator method {self.method!r}")
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise InvalidParameterError("tolerances must be positive")
+        if not self.rel_tol >= MIN_RTOL:
+            raise InvalidParameterError(f"rel_tol must be at least {MIN_RTOL:.6g} "
+                                        f"(100 machine epsilons), got {self.rel_tol!r}")
         if not 0 < self.t_end < np.inf:
             raise InvalidParameterError("t_end must be positive and finite")
         if self.record_every is not None and not 0 < self.record_every < np.inf:
@@ -99,8 +106,10 @@ class Trajectory:
     of (n,) columns and an (n, 3) L), the sup-node Cauchy-Green rate
     cdot_max[i], the comoving planet offset Y[i] of comoving_decomposition,
     and the spin and orbital angular velocities omega_spin[i],
-    omega_orbit[i] of instantaneous_spin.  nfev and njev count solve_ivp's
-    right-hand-side and Jacobian evaluations over the whole run.
+    omega_orbit[i] of instantaneous_spin.  nfev counts the integrator's
+    right-hand-side evaluations over the whole run, the three dense-output
+    stages of each step that records a sample or locates an event
+    included; njev counts Jacobian evaluations, 0 for DOP853.
     """
 
     times: np.ndarray
@@ -156,27 +165,19 @@ def _take_rows(record, idx):
     return replace(record, **rows)
 
 
-def solve_ivp(*args, **kwargs):
-    """scipy.integrate.solve_ivp, which the first call imports; every call forwards to it."""
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
-
-    return scipy_solve_ivp(*args, **kwargs)
-
-
 def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityParams):
-    """The right-hand side rhs(t, y) of the first-order system, set up once per run.
+    """The right-hand side rhs(t, y, out=None) of the first-order system, set up once per run.
 
-    y = (q, qdot), shape (2 * 3N,); rhs returns (qdot, M^-1 (f - g)) in a
-    fresh array on every call, since solve_ivp keeps earlier stages (DOP853
-    reuses its last stage as the next step's first) and must not see them
-    overwritten.
+    y = (q, qdot), shape (2 * 3N,); rhs writes (qdot, M^-1 (f - g)) into
+    out, the stage row the integrator hands it, and returns it. Without
+    out it returns a fresh array on every call.
     """
     kernel = force_kernel(body, material, viscosity.eta)
     nq = body.n_modes
     S_inv = body.S_inv
 
-    def rhs(t, y):
-        ydot = np.empty_like(y)
+    def rhs(t, y, out=None):
+        ydot = np.empty_like(y) if out is None else out
         ydot[:nq] = y[nq:]
         # solve_mass: one product with the inverse Gram matrix, into ydot
         np.matmul(S_inv, kernel(y.reshape(2, nq)), out=ydot[nq:].reshape(-1, 3))
@@ -277,7 +278,7 @@ def _build_trajectory(body, times, states, material, viscosity, termination, rea
 
 
 def _termination_events(body: ReferenceBody, settings: IntegratorSettings):
-    """The terminal events (impact, escape, singular) of solve_ivp, in the order of their tags.
+    """The terminal events (impact, escape, singular) of the integrator, in the order of their tags.
 
     Each takes (t, y) and crosses zero downwards: the closest node reaches
     the impact radius, the barycenter the escape ceiling, or the smallest
@@ -336,7 +337,7 @@ def integrate(
         rhs,
         (0.0, settings.t_end),
         y0,
-        method=_SCIPY_METHODS[settings.method],
+        method=_METHODS[settings.method],
         rtol=settings.rel_tol,
         atol=settings.abs_tol,
         max_step=settings.max_step,
@@ -344,6 +345,8 @@ def integrate(
         events=events,
         dense_output=False,
     )
+    log.debug("DOP853 run: %d accepted steps, %d rejected, nfev %d",
+              sol.n_steps, sol.n_rejected, sol.nfev)
     times = list(sol.t)
     states = list(sol.y.T)
     if sol.status == 1:

@@ -238,8 +238,10 @@ def test_debug_log_names_the_event_and_leaves_outputs_unchanged(tmp_path, caplog
     with caplog.at_level("DEBUG", logger="elastisat.dynamics"):
         assert main(["--log-level", "debug", "simulate", "--config", cfg, "--out", str(loud)]) == 0
     hits = [r.getMessage() for r in caplog.records if r.name == "elastisat.dynamics"]
-    assert len(hits) == 1 and hits[0].startswith("impact_event fired at t = ")
-    t_hit = float(hits[0].split("t = ")[1].split(":")[0])
+    # one line counts the run's steps, one names the event
+    assert len(hits) == 2 and hits[0].startswith("DOP853 run: ")
+    assert hits[1].startswith("impact_event fired at t = ")
+    t_hit = float(hits[1].split("t = ")[1].split(":")[0])
     assert t_hit == json.loads((loud / "result.json").read_text())["t_final"]
     for name in ("monitors.csv", "result.json"):
         assert (quiet / name).read_bytes() == (loud / name).read_bytes()
@@ -400,6 +402,30 @@ def test_sweep_survives_a_bad_point(tmp_path):
     assert "epsilon" in error["error"]
 
 
+def test_rel_tol_below_the_floor_is_a_config_error(tmp_path):
+    # below 100 machine epsilons the step control would have raised rel_tol
+    # itself and only warned; the scenario is rejected instead
+    floor = 100 * np.finfo(float).eps
+    out = str(tmp_path / "out")
+    for rel_tol, code in [(1e-15, 2), (np.nextafter(floor, 0.0), 2), (floor, 0)]:
+        doc = _orbital_doc(integrator={"rel_tol": float(rel_tol), "t_end": 0.1,
+                                       "record_every": 0.05})
+        cfg = _write(tmp_path / "run.yaml", doc)
+        assert main(["simulate", "--config", cfg, "--out", out]) == code, rel_tol
+    sweep = {
+        "base": _orbital_doc(integrator={"t_end": 0.5, "record_every": 0.25}),
+        "sweep": {"parameter": "integrator.rel_tol", "values": [1e-8, 1e-15]},
+    }
+    cfg = _write(tmp_path / "sweep.yaml", sweep)
+    assert main(["sweep", "--config", cfg, "--out", out]) == 0
+    with open(Path(out) / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["outcome"] for r in rows] == ["Undetermined", "error"]
+    error = json.loads((Path(out) / "point-001" / "error.json").read_text())
+    assert error["error_type"] == "ConfigError"
+    assert "rel_tol" in error["error"]
+
+
 def test_sweep_point_with_an_infinite_value_is_an_error_row(tmp_path):
     # every point is validated when it runs: an infinite lam at point 1 used to hang the sweep
     sweep = {
@@ -452,16 +478,20 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
-@pytest.mark.parametrize("command", ["import", "equilibria", "catalog"])
+@pytest.mark.parametrize("command", ["import", "equilibria", "catalog", "simulate"])
 def test_import_equilibria_and_catalog_load_no_scipy(tmp_path, command):
-    # scipy is loaded by the first integration and multiprocessing by a
-    # sweep with workers; importing the package and the commands that
-    # never integrate need neither.  Each case runs in a fresh interpreter.
+    # no command loads scipy: the integrator, its dense output and its event
+    # root finder are the program's own, and simulate runs impact.yaml, where
+    # an event fires.  Only a sweep with workers loads multiprocessing.  Each
+    # case runs in a fresh interpreter.
     out = tmp_path / "out"
     if command == "import":
         run = "import elastisat"
     else:
-        cfg = _write(tmp_path / "run.yaml", _orbital_doc())
+        if command == "simulate":
+            cfg = str(SCENARIOS / "impact.yaml")
+        else:
+            cfg = _write(tmp_path / "run.yaml", _orbital_doc())
         run = (f"from elastisat.cli import main\n"
                f"assert main([{command!r}, '--config', {cfg!r}, '--out', {str(out)!r}]) == 0")
     src = str(Path(cli.__file__).resolve().parents[1])
@@ -473,3 +503,6 @@ def test_import_equilibria_and_catalog_load_no_scipy(tmp_path, command):
     if command != "import":
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["version"] == elastisat.__version__
+    if command == "simulate":
+        result = json.loads((out / "result.json").read_text())
+        assert result["termination"] == "impact-detected"

@@ -114,7 +114,7 @@ def test_trajectory_counts_every_rhs_call(triaxial, monkeypatch, method):
 
     def counting_rhs(*args):
         rhs = build(*args)
-        return lambda t, y: calls.append(1) or rhs(t, y)
+        return lambda t, y, out: calls.append(1) or rhs(t, y, out)
 
     monkeypatch.setattr(dynamics, "_rhs", counting_rhs)
     settings = es.IntegratorSettings(method=method, t_end=0.5, record_every=0.25, max_step=0.05)

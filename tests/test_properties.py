@@ -237,6 +237,9 @@ def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gra
     # a fresh array per call: solve_ivp keeps earlier stages
     second[:] = 0.0
     assert np.array_equal(first, expected)
+    # handed a stage row, rhs writes the same values into it
+    row = np.full_like(y, np.nan)
+    assert rhs(0.0, y, row) is row and np.array_equal(row, expected)
 
     settings_ = es.IntegratorSettings(impact_radius=0.5, escape_radius=20.0)
     impact, escape, singular = _termination_events(body, settings_)

@@ -5,13 +5,18 @@
 Times, with one BLAS thread:
 
 - ``rhs``, the right-hand side ``dynamics._rhs`` builds once per run and
-  solve_ivp calls at every stage, without solve_ivp's own overhead
-  (perfbench's ``dynamics.rhs_us`` includes it);
+  the integrator calls at every stage, without the integrator's own
+  overhead (perfbench's ``dynamics.rhs_us`` includes it);
+- ``loop_per_step``, that overhead: the wall time of a 30-time-unit
+  integration of the capture start (``dop853.solve_ivp`` with the
+  settings, samples and events ``integrate`` passes it), less ``nfev``
+  times the ``rhs`` figure, divided by the accepted steps; it holds the
+  integrator's own arithmetic, the events and the dense output;
 - ``energetics.conservative_force`` and ``energetics.potential_hessian``,
   what Newton and the spectrum call;
 - the integrator's three terminal events (impact, escape, singular), each
-  and their sum ``events``, which solve_ivp evaluates once per accepted
-  step;
+  and their sum ``events``, which the integrator evaluates once per
+  accepted step;
 - what the ``equilibria`` command runs: ``equilibrium_residual`` and
   ``equilibrium_jacobian``, once per Newton iteration, at the relative
   equilibrium the capture start solves for, and ``nondegeneracy_spectrum``
@@ -25,7 +30,7 @@ Each routine runs on the equilibrium start of ``scenarios/capture.yaml``
 degree 2; the catalog body takes the same basis degree. Each figure is the
 best of R repeats of a batch of calls that takes at least 0.2 s, divided
 by the batch size: the best repeat is the one least disturbed by other
-work on the machine.
+work on the machine. ``loop_per_step`` takes the best of R integrations.
 """
 
 from __future__ import annotations
@@ -36,12 +41,14 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import time  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
+from elastisat import dynamics  # noqa: E402
 from elastisat.dynamics import _rhs, _termination_events  # noqa: E402
 from elastisat.energetics import conservative_force, potential_hessian  # noqa: E402
 from elastisat.equilibria import (equilibrium_jacobian, equilibrium_residual,  # noqa: E402
@@ -90,6 +97,28 @@ def _calls(degree: int) -> dict:
     return calls
 
 
+LOOP_T_END = 30.0
+
+
+def loop_us_per_step(degree: int, rhs_us: float, repeat: int) -> float:
+    """The integrator's own cost per accepted step on LOOP_T_END time units of the capture start."""
+    sc = _scenario("capture.yaml", degree)
+    state = sc.initial_state()
+    settings = sc.settings
+    n_samples = max(1, int(round(LOOP_T_END / settings.sample_interval)))
+    kwargs = dict(method="DOP853", rtol=settings.rel_tol, atol=settings.abs_tol,
+                  max_step=settings.max_step, t_eval=np.linspace(0.0, LOOP_T_END, n_samples + 1),
+                  events=_termination_events(sc.body, settings), dense_output=False)
+    rhs = _rhs(sc.body, sc.material, sc.viscosity)
+    y0 = np.concatenate([state.q, state.qdot])
+    wall = []
+    for _ in range(repeat):
+        start = time.perf_counter()
+        sol = dynamics.solve_ivp(rhs, (0.0, LOOP_T_END), y0, **kwargs)
+        wall.append(time.perf_counter() - start)
+    return (min(wall) * 1e6 - sol.nfev * rhs_us) / sol.n_steps
+
+
 def best_us(call, repeat: int) -> float:
     """Best-of-repeat time of one call in microseconds."""
     timer = timeit.Timer(call)
@@ -106,6 +135,9 @@ def main(argv=None) -> int:
         for name, (call, per_call) in _calls(degree).items():
             us = best_us(call, args.repeat) / per_call
             print(f"{degree:>6}  {name:<24} {us:>9.2f}", flush=True)
+            if name == "rhs":
+                us = loop_us_per_step(degree, us, args.repeat)
+                print(f"{degree:>6}  {'loop_per_step':<24} {us:>9.2f}", flush=True)
     return 0
 
 
