@@ -24,6 +24,7 @@ rules mapped onto the ellipsoid, two of them:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -416,8 +417,9 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
     """Raise unless det(Dzeta) > 0 at every node and no node is at/inside the impact radius.
 
     A stack of states passes only if every one of them does. The determinant
-    is taken once per distinct gradient. Returns the node positions, shape
-    (..., nq, 3), so callers can reuse them.
+    is taken once per distinct gradient; the closest-node distance is the
+    impact event's, so a state fails exactly where the integrator's singular
+    or impact event is <= 0. Returns the node positions, shape (..., nq, 3).
     """
     Z = body.node_positions(state.q)
     dets = det3(body.distinct_gradients(state.q))
@@ -426,7 +428,7 @@ def require_regular(body: ReferenceBody, state: DeformationState, impact_radius:
         raise SingularConfigurationError(
             f"det(Dzeta) <= 0 at {int(np.sum(dets <= 0.0)) * repeat} quadrature node(s)"
         )
-    dmin = float(np.sqrt(np.min(np.einsum("...i,...i->...", Z, Z))))
+    dmin = math.sqrt(np.vecdot(Z, Z).min())
     if dmin <= impact_radius:
         raise ImpactProximityError(
             f"material point at distance {dmin:.3e} <= impact radius {impact_radius:.3e}"

@@ -291,6 +291,13 @@ _COMMANDS = (
 )
 
 
+def _workers(text: str) -> int:
+    """--workers: a whole number of processes, at least 1; argparse exits 2 on anything else."""
+    if (n := int(text)) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="elastisat",
@@ -304,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
         if func is _cmd_sweep:
-            sp.add_argument("--workers", type=int, default=1)
+            sp.add_argument("--workers", type=_workers, default=1)
         sp.set_defaults(func=func)
     return parser
 

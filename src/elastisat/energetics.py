@@ -19,15 +19,15 @@ The energy and momentum monitors take a stack of states along leading
 axes and return one value per state.
 
 force_kernel is the one force kernel: it takes every table of a body,
-material and viscosity once and returns kernel(y), so the integrator
-sets it up once per run; conservative_force is one call of it. Because S
-is linear, its total stress S(E) + eta Cdot is one affine map of the
-entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
-once per material and viscosity. The kernel carries its exact Jacobian
-in (q, qdot), kernel.jacobian(y), built on the same tables and the same
-affine map; potential_hessian is minus the Jacobian at eta = 0, so Newton
-and the nondegeneracy spectrum differentiate the kernel the integrator
-runs.
+material and viscosity once and returns kernel(y), the handle the
+integrator, the Newton solver and the spectrum hold; conservative_force is
+the kernel at an admissible point. Because S is linear, its total stress
+S(E) + eta Cdot is one affine map of the entries of F^T F and F^T Fdot,
+tabulated from S(E) and cauchy_green_rate once per material and
+viscosity. The kernel carries its exact Jacobian in (q, qdot),
+kernel.jacobian(y), built on the same tables and the same affine map;
+minus the Jacobian at eta = 0 is the potentials' Hessian, so Newton and
+the spectrum differentiate the kernel the integrator runs.
 """
 
 from __future__ import annotations
@@ -216,9 +216,10 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     kernel.jacobian(y) is d kernel / d y, shape (3N, k 3N) with k = 1 at
     eta = 0 and 2 otherwise: column w 3N + 3b + j is the derivative along
     y[w, 3b + j], row 3a + i that of kernel(y)[a, i]. At eta = 0 it is
-    minus potential_hessian; at eta > 0 it is the exact d(f - g)/d(q, qdot).
-    The integrator builds one kernel per run; conservative_force, and
-    through it the Newton solver and the spectrum, build one per call.
+    minus the potentials' Hessian; at eta > 0 it is the exact
+    d(f - g)/d(q, qdot). kernel.body and kernel.params are its body and
+    material. The integrator builds one kernel per run, Newton one per solve
+    and the spectrum one per call; only conservative_force checks admissibility.
     This is the only place the force arithmetic and its derivative live.
 
     Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
@@ -323,7 +324,7 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
         J -= stress_divergence(dP).reshape(k * n, n).T
         return J
 
-    kernel.jacobian = jacobian
+    kernel.jacobian, kernel.body, kernel.params = jacobian, body, params
     return kernel
 
 
@@ -349,23 +350,14 @@ def _stress_map(params: MaterialParams, eta: float):
     return tables
 
 
-def conservative_force(
-    body: ReferenceBody, state: DeformationState, params: MaterialParams
-) -> np.ndarray:
-    """Generalized force f = -grad_q (U_g + U_sg + U_e), the exact discrete gradient."""
-    require_regular(body, state)
-    return force_kernel(body, params)(state.q[None]).reshape(-1)
+def conservative_force(kernel, q: np.ndarray) -> np.ndarray:
+    """The admissible force f = -grad_q (U_g + U_sg + U_e) at q, from a kernel of eta = 0.
 
-
-def potential_hessian(body: ReferenceBody, q: np.ndarray, params: MaterialParams) -> np.ndarray:
-    """Hessian of U_g + U_sg + U_e in the Galerkin coefficients, shape (3N, 3N).
-
-    The exact derivative of conservative_force, on the same rules: minus
-    the force kernel's Jacobian at eta = 0.
+    require_regular raises at an inadmissible q (det Dzeta <= 0, or a node at the planet).
     """
-    q = np.asarray(q, dtype=float)
-    require_regular(body, DeformationState(q, np.zeros_like(q)))
-    return -force_kernel(body, params).jacobian(q[None])
+    state = DeformationState(q, np.zeros_like(q))
+    require_regular(kernel.body, state)
+    return kernel(state.q[None]).reshape(-1)
 
 
 def gravity_third_derivatives(Y, kM: float):

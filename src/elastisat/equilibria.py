@@ -9,9 +9,10 @@ the closed system
     grad_q U(q) + S A skew(omega)^2 = 0,      L(q, v_e(q, omega)) = L0,
 
 with v_e(q, omega) the rigid velocity field omega x zeta written in
-coefficients.  Newton uses the exact Jacobian of this system
-(equilibrium_jacobian, built on energetics.potential_hessian, which is
-minus the force kernel's own Jacobian, force_kernel(...).jacobian).  The
+coefficients.  A solve builds one force kernel and hands it to the
+residual, which checks each trial point's admissibility once (through
+conservative_force), and to the exact Jacobian of this system
+(equilibrium_jacobian), whose potential block is -kernel.jacobian.  The
 Jacobian is singular along the group orbit (rotations about L0), so each
 step is a least-squares step with one more row, the phase condition
 T0 . (u - u0) = 0 with T0 the orbit tangent at the seed u0: it pins where
@@ -40,7 +41,7 @@ from .energetics import (
     angular_momentum,
     conservative_force,
     energy_breakdown,
-    potential_hessian,
+    force_kernel,
 )
 from .errors import (
     DegenerateCatalogError,
@@ -77,19 +78,14 @@ def augmented_hamiltonian(
     return float(bd.H - np.dot(np.asarray(omega, dtype=float), bd.L - np.asarray(L0, dtype=float)))
 
 
-def equilibrium_residual(
-    body: ReferenceBody,
-    material: MaterialParams,
-    q: np.ndarray,
-    omega,
-    L0,
-) -> np.ndarray:
-    """Stacked residual [grad_q U + S A skew(omega)^2; L - L0], length 3N + 3."""
+def equilibrium_residual(kernel, q: np.ndarray, omega, L0) -> np.ndarray:
+    """[grad_q U + S A skew(omega)^2; L - L0], length 3N + 3; raises where q is inadmissible."""
+    body = kernel.body
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
     A = q.reshape(-1, 3)
     W = skew(omega)
-    grad_U = -conservative_force(body, DeformationState(q, np.zeros_like(q)), material)
+    grad_U = -conservative_force(kernel, q)
     res_q = grad_U + (body.S @ A @ (W @ W)).reshape(-1)
     v = equilibrium_velocity(q, omega)
     res_L = angular_momentum(body, DeformationState(q, v)) - np.asarray(L0, dtype=float)
@@ -114,26 +110,23 @@ _DW = skew(np.eye(3))
 _DW.flags.writeable = False
 
 
-def equilibrium_jacobian(
-    body: ReferenceBody,
-    material: MaterialParams,
-    q: np.ndarray,
-    omega,
-) -> np.ndarray:
+def equilibrium_jacobian(kernel, q: np.ndarray, omega) -> np.ndarray:
     """Exact Jacobian of equilibrium_residual in (q, omega), shape (3N + 3, 3N + 3).
 
-    The q block is potential_hessian + kron(S, W^2), the omega block
-    S A d(W^2)/d omega, and the momentum rows follow from L being bilinear
-    in (q, v) with v = A W^T.  L0 only shifts the residual.  The blocks are
-    computed whole and copied into one array.
+    The q block is the potentials' Hessian -kernel.jacobian + kron(S, W^2),
+    the omega block S A d(W^2)/d omega, and the momentum rows follow from L
+    being bilinear in (q, v) with v = A W^T.  L0 only shifts the residual.
+    The blocks are computed whole and copied into one array.  q is not
+    checked: Newton takes the Jacobian only where it took the residual.
     """
+    body = kernel.body
     q = np.asarray(q, dtype=float)
     omega = np.asarray(omega, dtype=float)
     A = q.reshape(-1, 3)
     nm, n = A.shape[0], q.size
     W = skew(omega)
     Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(q, omega))
-    Hqq = potential_hessian(body, q, material)
+    Hqq = -kernel.jacobian(q[None])
     # kron(S, W^2) added entry by entry: S_ab (W^2)_ij at (3a + i, 3b + j)
     Hqq.reshape(nm, 3, nm, 3)[...] += body.S[:, None, :, None] * (W @ W)[:, None, :]
     J = np.empty((n + 3, n + 3))
@@ -258,13 +251,14 @@ def solve_relative_equilibrium(
     N = skew(L0 / np.linalg.norm(L0))
     T0 = np.concatenate([(u0[:nq].reshape(-1, 3) @ N.T).reshape(-1), N @ u0[nq:]])
     T0 /= np.linalg.norm(T0)
+    kernel = force_kernel(body, material)
 
     def residual(vec):
-        return equilibrium_residual(body, material, vec[:nq], vec[nq:], L0)
+        return equilibrium_residual(kernel, vec[:nq], vec[nq:], L0)
 
     def linearization(vec, res_vec):
         """Newton's least-squares system at vec: [J; T0] and [-res; -T0 . (vec - u0)]."""
-        J = np.vstack([equilibrium_jacobian(body, material, vec[:nq], vec[nq:]), T0])
+        J = np.vstack([equilibrium_jacobian(kernel, vec[:nq], vec[nq:]), T0])
         return J, np.append(-res_vec, -T0 @ (vec - u0))
 
     debug = log.isEnabledFor(logging.DEBUG)  # the step norm is taken for the log alone
@@ -375,18 +369,19 @@ def nondegeneracy_spectrum(
     """Restricted second-variation test of the augmented energy.
 
     Builds the exact full (q, v) Hessian of H - omega_e . L, with its q
-    block from potential_hessian (the L0 shift is affine and drops out),
-    restricts it to the kernel of dL at the
-    equilibrium, projects out the tangent of the rotation orbit about
-    L0, and reports the eigenvalue signature.  Eigenvalues with modulus
-    below _FLOOR_REL times the spectral radius count as zero.
+    block -force_kernel(body, material).jacobian at eq.q, solved and so not
+    checked again (the L0 shift is affine and drops out), restricts it to
+    the kernel of dL at the equilibrium, projects out the tangent of the
+    rotation orbit about L0, and reports the eigenvalue signature.
+    Eigenvalues with modulus below _FLOOR_REL times the spectral radius
+    count as zero.
     """
     q = eq.q
     v = eq.velocity
     n = q.size
     M = mass_matrix(body)
 
-    Hqq = potential_hessian(body, q, material)
+    Hqq = -force_kernel(body, material).jacobian(q[None])
     Rot = np.kron(np.eye(n // 3), skew(eq.omega))
     Hfull = np.block([[Hqq, -Rot.T @ M], [-M @ Rot, M]])
     Dq, Dv = _momentum_jacobian(body, q, v)

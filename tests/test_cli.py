@@ -382,6 +382,20 @@ def test_sweep_outcomes_and_worker_determinism(tmp_path):
         assert (out1 / f"point-{i:03d}" / "config.json").exists()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3", "two"])
+def test_sweep_workers_below_one_exit_2(tmp_path, capsys, workers):
+    # a worker count below 1 used to run the points serially and exit 0;
+    # the parser rejects it, a configuration error, before any point runs
+    sweep = {"base": _orbital_doc(), "sweep": {"parameter": "integrator.t_end", "values": [1.0]}}
+    cfg = _write(tmp_path / "sweep.yaml", sweep)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--config", cfg, "--out", str(out), "--workers", workers])
+    assert info.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_sweep_survives_a_bad_point(tmp_path):
     # only the first value is validated up front; later failures become rows
     sweep = {

@@ -8,7 +8,7 @@ from scipy.spatial.transform import Rotation
 import elastisat as es
 from elastisat import equilibria
 from elastisat.body_model import skew
-from elastisat.energetics import potential_hessian
+from elastisat.energetics import force_kernel
 from elastisat.equilibria import (
     RigidBodyModel,
     _maccullagh_potential,
@@ -77,7 +77,7 @@ def test_group_covariance_of_residual(triaxial, material):
     rng = np.random.default_rng(67)
     R = Rotation.random(random_state=rng).as_matrix()
     q_rot = (eq.q.reshape(-1, 3) @ R.T).reshape(-1)
-    res = equilibrium_residual(triaxial, material, q_rot, R @ eq.omega, R @ eq.L)
+    res = equilibrium_residual(force_kernel(triaxial, material), q_rot, R @ eq.omega, R @ eq.L)
     assert np.linalg.norm(res, ord=np.inf) < 1e-10
 
 
@@ -194,7 +194,7 @@ def test_newton_debug_log_traces_every_iteration_and_cut(triaxial, material, cap
         assert not cuts
 
 
-def _fd_jacobian(body, material, q, omega):
+def _fd_jacobian(kernel, q, omega):
     """Central finite differences of equilibrium_residual in (q, omega)."""
     u = np.concatenate([q, omega])
     n = q.size
@@ -204,8 +204,8 @@ def _fd_jacobian(body, material, q, omega):
         up, um = u.copy(), u.copy()
         up[j] += h
         um[j] -= h
-        cols.append((equilibrium_residual(body, material, up[:n], up[n:], np.zeros(3))
-                     - equilibrium_residual(body, material, um[:n], um[n:], np.zeros(3)))
+        cols.append((equilibrium_residual(kernel, up[:n], up[n:], np.zeros(3))
+                     - equilibrium_residual(kernel, um[:n], um[n:], np.zeros(3)))
                     / (2.0 * h))
     return np.column_stack(cols)
 
@@ -215,23 +215,25 @@ def test_newton_jacobian_matches_finite_differences(triaxial, material, self_gra
     mat = SELF_GRAVITY if self_gravity else material
     rng = np.random.default_rng(71)
     guess, omega0 = es.synchronous_guess(triaxial, mat, 3.0)
+    kernel = force_kernel(triaxial, mat)
     for _ in range(3):
         q = guess.q + 0.05 * rng.standard_normal(guess.q.size)
         omega = omega0 + 0.05 * rng.standard_normal(3)
-        J = equilibrium_jacobian(triaxial, mat, q, omega)
-        J_fd = _fd_jacobian(triaxial, mat, q, omega)
+        J = equilibrium_jacobian(kernel, q, omega)
+        J_fd = _fd_jacobian(kernel, q, omega)
         assert np.linalg.norm(J - J_fd) <= 1e-7 * np.linalg.norm(J)
 
 
-def _block_jacobian(body, material, q, omega):
+def _block_jacobian(kernel, q, omega):
     """equilibrium_jacobian as np.block of the blocks, with kron and a column per axis."""
+    body = kernel.body
     A = q.reshape(-1, 3)
     W = skew(omega)
     dW = [skew(e) for e in np.eye(3)]
     SA, SV = body.S @ A, body.S @ (A @ W.T)
     Dq, Dv = np.hstack([-skew(x) for x in SV]), np.hstack([skew(x) for x in SA])
     return np.block([
-        [potential_hessian(body, q, material) + np.kron(body.S, W @ W),
+        [-kernel.jacobian(q[None]) + np.kron(body.S, W @ W),
          np.column_stack([(SA @ (E @ W + W @ E)).reshape(-1) for E in dW])],
         [Dq + Dv @ np.kron(np.eye(A.shape[0]), W),
          Dv @ np.column_stack([(A @ E.T).reshape(-1) for E in dW])],
@@ -247,11 +249,12 @@ def test_newton_jacobian_is_the_block_assembly(material, degree, self_gravity):
     mat = SELF_GRAVITY if self_gravity else material
     rng = np.random.default_rng(73)
     guess, omega0 = es.synchronous_guess(body, mat, 3.0)
+    kernel = force_kernel(body, mat)
     for _ in range(3):
         q = guess.q + 0.05 * rng.standard_normal(guess.q.size)
         omega = omega0 + 0.05 * rng.standard_normal(3)
-        assert np.array_equal(equilibrium_jacobian(body, mat, q, omega),
-                              _block_jacobian(body, mat, q, omega))
+        assert np.array_equal(equilibrium_jacobian(kernel, q, omega),
+                              _block_jacobian(kernel, q, omega))
 
 
 @pytest.mark.parametrize("self_gravity", [False, True])

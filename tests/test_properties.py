@@ -10,7 +10,8 @@ kernel's Jacobian is checked against a central difference of the kernel
 in (q, qdot) and, without viscosity, against the potentials' Hessian
 derived apart from the kernel.  The integrator's
 prebuilt right-hand side and terminal events are checked, in the same
-cases, to equal the per-call formulas bit for bit.
+cases, to equal the per-call formulas bit for bit, and require_regular to
+reject a state exactly where the singular or the impact event is <= 0.
 The monitor functions are checked on stacks of such states against their
 values state by state, angular_momentum's component-wise cross products
 against np.cross bit for bit, and the spin fit and the comoving frame against
@@ -22,6 +23,7 @@ mass matrix.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -32,8 +34,8 @@ from scipy.spatial.transform import Rotation
 import elastisat as es
 from elastisat.body_model import det3, require_regular
 from elastisat.dynamics import _rhs, _termination_events
-from elastisat.energetics import conservative_force, force_kernel, potential_hessian
-from elastisat.errors import SingularConfigurationError
+from elastisat.energetics import conservative_force, force_kernel
+from elastisat.errors import ImpactProximityError, SingularConfigurationError
 
 MAT = es.MaterialParams(lam=1.3, mu=0.8, epsilon=0.5, self_gravity_k=0.2, softening=0.05)
 BODIES = {d: es.build_ellipsoid_body((1.0, 0.85, 0.6), basis_degree=d) for d in (1, 2)}
@@ -214,20 +216,31 @@ def test_kernel_jacobian_is_the_kernel_derivative(degree, eta, self_gravity, dat
         assert np.linalg.norm(J + H) <= 1e-13 * np.linalg.norm(H)
 
 
+def _admissibility(body, state, impact_radius):
+    """The error type require_regular raises on state at impact_radius, or None."""
+    try:
+        require_regular(body, state, impact_radius)
+    except (SingularConfigurationError, ImpactProximityError) as exc:
+        return type(exc)
+    return None
+
+
 @PROPERTY
 @given(degree=st.sampled_from([1, 2]), eta=st.sampled_from([0.0, ETA]),
-       self_gravity=st.booleans(), data=st.data())
-def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gravity, data):
+       self_gravity=st.booleans(), mirrored=st.booleans(), data=st.data())
+def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gravity, mirrored,
+                                                           data):
     # _rhs and _termination_events bind their tables once per run; every
-    # value must still be bit for bit the one of the per-call formulas
+    # value must still be bit for bit the one of the per-call formulas.  A
+    # mirrored placement (z -> -z) keeps every node distance and makes det
+    # Dzeta negative, so the singular branch of the admissibility rule runs.
     body = BODIES[degree]
     mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
     noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
     state = _state(body, data.draw(st.tuples(*RIGID, *noise)))
-    try:
-        require_regular(body, state)
-    except SingularConfigurationError:
-        assume(False)
+    if mirrored:
+        flip = np.tile([1.0, 1.0, -1.0], body.n_modes // 3)
+        state = es.DeformationState(state.q * flip, state.qdot * flip)
     y = np.concatenate([state.q, state.qdot])
     accel = body.solve_mass(force_kernel(body, mat, eta)(np.stack([state.q, state.qdot])))
     expected = np.concatenate([state.qdot, accel.reshape(-1)])
@@ -247,6 +260,22 @@ def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gra
     assert impact(0.0, y) == float(np.sqrt(np.min(np.vecdot(Z, Z)))) - 0.5
     assert escape(0.0, y) == 20.0 - float(np.linalg.norm(body.barycenter(state.q)))
     assert singular(0.0, y) == float(np.min(det3(body.distinct_gradients(state.q))))
+
+    # one admissibility rule: require_regular fails exactly where the
+    # integrator's events do, also at radii one rounding from the closest
+    # node's distance; moving the body along its constant row (a
+    # translation) gives each draw more distances to round
+    for scale in (1.0, 1.1, 1.3):
+        moved = es.DeformationState(state.q.copy(), state.qdot)
+        moved.q[:3] *= scale
+        y = np.concatenate([moved.q, moved.qdot])
+        Z = body.node_positions(moved.q)
+        d = math.sqrt(np.vecdot(Z, Z).min())
+        for r in (0.5 * d, math.nextafter(d, 0.0), d, math.nextafter(d, math.inf), 2.0 * d):
+            impact_at_r = _termination_events(body, es.IntegratorSettings(impact_radius=r))[0]
+            expected = (SingularConfigurationError if singular(0.0, y) <= 0.0
+                        else ImpactProximityError if impact_at_r(0.0, y) <= 0.0 else None)
+            assert _admissibility(body, moved, r) is expected, (scale, r)
 
 
 @PROPERTY
@@ -277,16 +306,20 @@ def test_kernel_is_rotation_equivariant(triaxial, placement, R):
 @PROPERTY
 @given(placement=PLACEMENTS, self_gravity=st.booleans())
 def test_potential_hessian_is_the_symmetric_force_derivative(triaxial, placement, self_gravity):
+    # the potentials' Hessian, minus the kernel's Jacobian at eta = 0, against
+    # central differences of the admissible force
     mat = MAT if self_gravity else dataclasses.replace(MAT, self_gravity_k=0.0)
     state = _state(triaxial, placement)
     try:
-        H = potential_hessian(triaxial, state.q, mat)
+        require_regular(triaxial, state)
     except SingularConfigurationError:
         assume(False)
+    kernel = force_kernel(triaxial, mat)
+    H = -kernel.jacobian(state.q[None])
     assert np.linalg.norm(H - H.T) <= 1e-12 * np.linalg.norm(H)
 
     def grad(q):
-        return -conservative_force(triaxial, es.DeformationState(q, state.qdot), mat)
+        return -conservative_force(kernel, q)
 
     h = 1e-5
     H_fd = np.column_stack([(grad(state.q + h * e) - grad(state.q - h * e)) / (2 * h)

@@ -12,15 +12,19 @@ Times, with one BLAS thread:
   settings, samples and events ``integrate`` passes it), less ``nfev``
   times the ``rhs`` figure, divided by the accepted steps; it holds the
   integrator's own arithmetic, the events and the dense output;
-- ``energetics.conservative_force`` and ``energetics.potential_hessian``,
-  what Newton and the spectrum call;
+- the pieces of a Newton iteration on their own: ``require_regular``, the
+  admissibility check; ``force_kernel``, building the kernel a solve
+  holds (once per solve); ``conservative_force``, the admissible force
+  (``require_regular`` then the prebuilt kernel); and ``kernel.jacobian``
+  of a prebuilt kernel at eta = 0;
 - the integrator's three terminal events (impact, escape, singular), each
   and their sum ``events``, which the integrator evaluates once per
   accepted step;
 - what the ``equilibria`` command runs: ``equilibrium_residual`` and
   ``equilibrium_jacobian``, once per Newton iteration, at the relative
-  equilibrium the capture start solves for, and ``nondegeneracy_spectrum``
-  there;
+  equilibrium the capture start solves for; one whole
+  ``solve_relative_equilibrium`` from capture's seed; and
+  ``nondegeneracy_spectrum`` at the equilibrium;
 - ``catalog_per_family``, one ``rigid_quadrupole_catalog`` call on the
   body and orbit radius of ``scenarios/catalog.yaml`` divided by its 24
   families.
@@ -49,8 +53,9 @@ import numpy as np  # noqa: E402
 import yaml  # noqa: E402
 
 from elastisat import dynamics  # noqa: E402
+from elastisat.body_model import require_regular  # noqa: E402
 from elastisat.dynamics import _rhs, _termination_events  # noqa: E402
-from elastisat.energetics import conservative_force, potential_hessian  # noqa: E402
+from elastisat.energetics import conservative_force, force_kernel  # noqa: E402
 from elastisat.equilibria import (equilibrium_jacobian, equilibrium_residual,  # noqa: E402
                                   nondegeneracy_spectrum, rigid_quadrupole_catalog,
                                   solve_relative_equilibrium)
@@ -72,10 +77,13 @@ def _calls(degree: int) -> dict:
     state = sc.initial_state()
     y = np.concatenate([state.q, state.qdot])
     rhs = _rhs(body, mat, sc.viscosity)
+    kernel = force_kernel(body, mat)
     calls = {
         "rhs": lambda: rhs(0.0, y),
-        "conservative_force": lambda: conservative_force(body, state, mat),
-        "potential_hessian": lambda: potential_hessian(body, state.q, mat),
+        "require_regular": lambda: require_regular(body, state),
+        "force_kernel": lambda: force_kernel(body, mat),
+        "conservative_force": lambda: conservative_force(kernel, state.q),
+        "kernel.jacobian": lambda: kernel.jacobian(state.q[None]),
     }
     events = _termination_events(body, sc.settings)
     for event in events:
@@ -84,8 +92,10 @@ def _calls(degree: int) -> dict:
 
     L0, state0, omega0 = sc.equilibrium_seed()
     eq = solve_relative_equilibrium(body, mat, L0, state0=state0, omega0=omega0)
-    calls["equilibrium_residual"] = lambda: equilibrium_residual(body, mat, eq.q, eq.omega, L0)
-    calls["equilibrium_jacobian"] = lambda: equilibrium_jacobian(body, mat, eq.q, eq.omega)
+    calls["equilibrium_residual"] = lambda: equilibrium_residual(kernel, eq.q, eq.omega, L0)
+    calls["equilibrium_jacobian"] = lambda: equilibrium_jacobian(kernel, eq.q, eq.omega)
+    calls["solve_relative_equilibrium"] = lambda: solve_relative_equilibrium(
+        body, mat, L0, state0=state0, omega0=omega0)
     calls["nondegeneracy_spectrum"] = lambda: nondegeneracy_spectrum(body, mat, eq)
     calls = {name: (call, 1) for name, call in calls.items()}
 
@@ -130,14 +140,14 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7, help="repeats per routine (default 7)")
     args = parser.parse_args(argv)
-    print(f"{'degree':>6}  {'routine':<24} {'us/call':>9}")
+    print(f"{'degree':>6}  {'routine':<26} {'us/call':>9}")
     for degree in (1, 2):
         for name, (call, per_call) in _calls(degree).items():
             us = best_us(call, args.repeat) / per_call
-            print(f"{degree:>6}  {name:<24} {us:>9.2f}", flush=True)
+            print(f"{degree:>6}  {name:<26} {us:>9.2f}", flush=True)
             if name == "rhs":
                 us = loop_us_per_step(degree, us, args.repeat)
-                print(f"{degree:>6}  {'loop_per_step':<24} {us:>9.2f}", flush=True)
+                print(f"{degree:>6}  {'loop_per_step':<26} {us:>9.2f}", flush=True)
     return 0
 
 
