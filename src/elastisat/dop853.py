@@ -1,19 +1,23 @@
-"""DOP853, the one integration loop: an explicit Runge-Kutta 8(5,3) pair with terminal events.
+"""DOP853, the one integration loop: an explicit Runge-Kutta 8(5,3) pair run until a gap closes.
 
 The method of Hairer, Norsett and Wanner (Solving Ordinary Differential
 Equations I, sec. II.10): an order-8 step whose order-5 and order-3 error
 estimates combine into one norm, step control by SAFETY, MIN_FACTOR and
-MAX_FACTOR, a 16-stage order-7 dense output, and terminal events located
-on the dense output by Brent's method. Every floating-point operation that
+MAX_FACTOR, a 16-stage order-7 dense output, and the run's end located on
+the dense output by Brent's method. The caller hands the loop its sample
+times t_eval and its gaps: functions g(t, y) that are positive while the
+run may go on. The run ends at the earliest root, within a step, of a gap
+that falls through zero over it (g >= 0 at the step's start, g <= 0 at
+its end). Integration runs forward. Every floating-point operation that
 reaches the state is the one SciPy 1.17's
-scipy.integrate.solve_ivp(method="DOP853") performs (_ivp/rk.py,
-_ivp/common.py, _ivp/ivp.py and optimize/Zeros/brentq.c), in the same
-order, so a run gives the same samples, event times, nfev and messages bit
-for bit. What the loop leaves out touches no bits: the solver object and
-its wrapper layers, a fresh array per stage (the right-hand side
-fun(t, y, out) writes each stage into the row of the stage matrix K it is
-handed) and the per-step event lists. Integration runs forward, every
-event is terminal, and the samples are the times t_eval.
+scipy.integrate.solve_ivp(method="DOP853") performs with the gaps as
+terminal events of direction -1 (_ivp/rk.py, _ivp/common.py, _ivp/ivp.py
+and optimize/Zeros/brentq.c), in the same order, so a run gives the same
+samples, event times, nfev and messages bit for bit. What the loop leaves
+out touches no bits: the solver object and its wrapper layers, a fresh
+array per stage (the right-hand side fun(t, y, out) writes each stage
+into the row of the stage matrix K it is handed) and the per-step event
+lists.
 
 The tableau and the loop are ported from SciPy, under its licence:
 
@@ -198,11 +202,11 @@ MESSAGES = {0: "The solver successfully reached the end of the integration inter
 
 @dataclass
 class OdeResult:
-    """Samples y (n, len(t)) at times t, the event that ended the run, and the counts.
+    """Samples y (n, len(t)) at times t, the gap that ended the run, and the counts.
 
-    status is 0 (reached the end), 1 (a terminal event) or -1 (step size
+    status is 0 (reached the end), 1 (a gap closed) or -1 (step size
     underflow), with message saying which. t_events[i] and y_events[i]
-    hold the time and state of event i if it ended the run, else nothing.
+    hold the time and state at which gap i closed, if it ended the run.
     nfev counts right-hand-side calls, n_steps the accepted steps and
     n_rejected the rejected ones; njev is 0, since no Jacobian is used.
     """
@@ -318,20 +322,13 @@ def _interpolate(F, t_old, h, y_old, t):
     return y
 
 
-def solve_ivp(fun, t_span, y0, method="DOP853", t_eval=None, dense_output=False, events=(),
-              rtol=1e-3, atol=1e-6, max_step=np.inf) -> OdeResult:
+def solve_ivp(fun, t_span, y0, t_eval, events, rtol, atol, max_step=np.inf) -> OdeResult:
     """Integrate y' = fun(t, y) over t_span = (t0, t_bound), t_bound > t0, sampled at t_eval.
 
-    fun(t, y, out) writes the derivative into out. Every event(t, y) is
-    terminal and crosses zero in the sign of its direction attribute (0:
-    either sign); the earliest root in a step ends the run there. rtol is
-    at least MIN_RTOL. The keywords are those of solve_ivp, which method
-    "DOP853" without dense output answers bit for bit.
+    fun(t, y, out) writes the derivative into out. Each of events is a gap
+    g(t, y): the earliest root in a step of a gap that is >= 0 at the
+    step's start and <= 0 at its end ends the run. rtol >= MIN_RTOL.
     """
-    if method != "DOP853" or dense_output or t_eval is None:
-        raise ValueError("the loop runs DOP853 on t_eval, without dense output")
-    if not all(getattr(event, "terminal", False) for event in events):
-        raise ValueError("every event must be terminal")
     if rtol < MIN_RTOL:
         raise ValueError(f"rtol must be at least {MIN_RTOL}")
     t, t_bound = map(float, t_span)
@@ -347,7 +344,6 @@ def solve_ivp(fun, t_span, y0, method="DOP853", t_eval=None, dense_output=False,
     h_abs = _initial_step(fun, t, y, f, K[1], t_bound - t, max_step, rtol, atol)
     nfev, n_steps, n_rejected = 2, 0, 0
 
-    directions = [getattr(event, "direction", 0) for event in events]
     g = [event(t, y) for event in events]
     t_events, y_events = [[] for _ in events], [[] for _ in events]
     t_eval = np.asarray(t_eval, dtype=float)
@@ -397,8 +393,7 @@ def solve_ivp(fun, t_span, y0, method="DOP853", t_eval=None, dense_output=False,
             status = 0
         F = None  # the step's interpolant, built on first use
         g_new = [event(t, y) for event in events]
-        active = [i for i, (a, b, d) in enumerate(zip(g, g_new, directions))
-                  if (d >= 0 and a <= 0 <= b) or (d <= 0 and a >= 0 >= b)]
+        active = [i for i, (a, b) in enumerate(zip(g, g_new)) if a >= 0 >= b]
         g = g_new
         if active:
             F = _dense_output(fun, stages, K, t_old, y_old, y, h)

@@ -9,11 +9,12 @@ kernel and the inverse Gram matrix, and each call passes the stacked
 (q, qdot) to the kernel and solves the mass matrix with one product into
 the stage row the integrator hands it. The integrator is the program's
 own DOP853 loop (dop853.solve_ivp, bit for bit scipy's solve_ivp with
-method DOP853), so no command loads scipy. Termination is event-based
-(impact, escape ceiling, loss of regularity on the distinct node
-gradients; the singular event state itself has no monitors and is not
-recorded), each event binds the body tables it reads once per run, and
-the event that fires and each run's step counts are logged at debug
+method DOP853), so no command loads scipy. A run ends where one of three
+gaps closes: the closest node's distance above the impact radius, the
+escape ceiling above the barycenter's distance, and the smallest det
+Dzeta over the distinct node gradients (the singular state itself has no
+monitors and is not recorded). Every gap must be positive at the start.
+The gap that closes and each run's step counts are logged at debug
 level.
 Trajectories are columnar, one row per sample: energy monitors, the
 rigidity diagnostic, and the spin, orbital rate and comoving planet offset
@@ -31,8 +32,8 @@ from dataclasses import dataclass, fields, is_dataclass, replace
 
 import numpy as np
 
-from .body_model import (DeformationState, ReferenceBody, _gradients, _rows, det3,
-                         identity_coefficients, inertia, require_regular)
+from .body_model import (DeformationState, ReferenceBody, _rows, det3, identity_coefficients,
+                         inertia, require_regular)
 from .dissipation import ViscosityParams, dissipation_rate, max_cauchy_green_rate
 from .dop853 import MIN_RTOL, solve_ivp
 from .energetics import (EnergyBreakdown, MaterialParams, angular_momentum, energy_breakdown,
@@ -44,7 +45,14 @@ MONITOR_COLUMNS = (
     "Lx", "Ly", "Lz", "diss_rate", "Cdot_max", "Y_norm", "omega_norm",
 )
 
-_METHODS = {"dop853": "DOP853"}
+_METHODS = ("dop853",)
+
+# (termination tag, reason) of each gap of _termination_events, in its order
+_TERMINATIONS = (
+    ("impact-detected", "impact radius reached"),
+    ("escape-detected", "escape ceiling crossed"),
+    ("step-failure", "configuration became singular (det Dzeta -> 0)"),
+)
 
 log = logging.getLogger(__name__)
 
@@ -278,34 +286,30 @@ def _build_trajectory(body, times, states, material, viscosity, termination, rea
 
 
 def _termination_events(body: ReferenceBody, settings: IntegratorSettings):
-    """The terminal events (impact, escape, singular) of the integrator, in the order of their tags.
+    """The gaps g(t, y) (impact, escape, singular) that end a run when one falls through zero.
 
-    Each takes (t, y) and crosses zero downwards: the closest node reaches
-    the impact radius, the barycenter the escape ceiling, or the smallest
-    det(Dzeta) over the nodes' distinct gradients zero. The body tables
-    they read are bound once; each value equals that of node_positions,
-    barycenter, np.min and np.linalg.norm exactly.
+    In the order of _TERMINATIONS: the closest node's distance less the
+    impact radius, the escape ceiling less the barycenter's distance, and
+    the smallest det(Dzeta) over the nodes' distinct gradients. Each reads
+    the body's own node_positions, barycenter and distinct_gradients, the
+    routines require_regular uses, so a gap is <= 0 exactly where that
+    admissibility rule fails.
     """
     nq = body.n_modes
-    P, mu_vec, mass, distinct_Gm = body.P, body.mu_vec, body.mass, body.distinct_Gm
     impact_radius, escape_radius = settings.impact_radius, settings.escape_radius
 
     def impact_event(t, y):
-        Z = P @ _rows(y[:nq])
+        Z = body.node_positions(y[:nq])
         return math.sqrt(np.vecdot(Z, Z).min()) - impact_radius
 
     def escape_event(t, y):
-        c = (mu_vec @ _rows(y[:nq])) / mass
+        c = body.barycenter(y[:nq])
         return escape_radius - math.sqrt(c @ c)
 
     def singular_event(t, y):
-        return float(det3(_gradients(distinct_Gm, y[:nq])).min())
+        return float(det3(body.distinct_gradients(y[:nq])).min())
 
-    events = [impact_event, escape_event, singular_event]
-    for ev in events:
-        ev.terminal = True
-        ev.direction = -1.0
-    return events
+    return impact_event, escape_event, singular_event
 
 
 def integrate(
@@ -322,9 +326,14 @@ def integrate(
     or the configuration loses regularity (det Dzeta -> 0, mapped to
     step-failure since the model cannot be continued through it). Impact
     and escape append the event state as the last sample; a singular
-    event records only its time, in termination_reason.
+    event records only its time, in termination_reason. Every gap must be
+    positive at state0 (require_regular, then InvalidParameterError).
     """
     require_regular(body, state0, settings.impact_radius)
+    distance = float(np.linalg.norm(body.barycenter(state0.q)))  # the escape gap's distance
+    if not distance < settings.escape_radius:
+        raise InvalidParameterError(f"barycenter at distance {distance:.6g} is at or beyond "
+                                    f"the escape radius {settings.escape_radius:.6g}")
     y0 = np.concatenate([state0.q, state0.qdot])
     rhs = _rhs(body, material, viscosity)
     events = _termination_events(body, settings)
@@ -333,28 +342,15 @@ def integrate(
     n_samples = max(1, int(round(settings.t_end / dt)))
     t_eval = np.linspace(0.0, settings.t_end, n_samples + 1)
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, settings.t_end),
-        y0,
-        method=_METHODS[settings.method],
-        rtol=settings.rel_tol,
-        atol=settings.abs_tol,
-        max_step=settings.max_step,
-        t_eval=t_eval,
-        events=events,
-        dense_output=False,
-    )
+    sol = solve_ivp(rhs, (0.0, settings.t_end), y0, t_eval, events, settings.rel_tol,
+                    settings.abs_tol, settings.max_step)
     log.debug("DOP853 run: %d accepted steps, %d rejected, nfev %d",
               sol.n_steps, sol.n_rejected, sol.nfev)
     times = list(sol.t)
     states = list(sol.y.T)
     if sol.status == 1:
-        tags = ["impact-detected", "escape-detected", "step-failure"]
-        reasons = ["impact radius reached", "escape ceiling crossed",
-                   "configuration became singular (det Dzeta -> 0)"]
         which = next(i for i, te in enumerate(sol.t_events) if len(te) > 0)
-        termination, reason = tags[which], reasons[which]
+        termination, reason = _TERMINATIONS[which]
         t_ev = sol.t_events[which][0]
         log.debug("%s fired at t = %.17g: %s", events[which].__name__, t_ev, termination)
         if termination == "step-failure":

@@ -177,12 +177,6 @@ class RelativeEquilibrium:
         return equilibrium_velocity(self.q, self.omega)
 
 
-def _radius_from_momentum(body: ReferenceBody, material: MaterialParams, L_mag: float) -> float:
-    """Circular-orbit radius whose Keplerian momentum matches |L0| (seed only)."""
-    r = L_mag**2 / (body.mass**2 * material.kM)
-    return max(r, 1.5 * body.mean_radius)
-
-
 # Below this |J^T r| / (|J| |r|), Newton's iterate is taken for a
 # stationary point of the residual norm (see _stationarity_note).  On the
 # triaxial body at r = 2.5 with seed noise 0.25, the two stops at
@@ -209,15 +203,16 @@ def solve_relative_equilibrium(
     body: ReferenceBody,
     material: MaterialParams,
     L0,
-    state0: DeformationState | None = None,
-    omega0=None,
+    state0: DeformationState,
+    omega0,
     tol: float = 1e-12,
     max_iter: int = 80,
 ) -> RelativeEquilibrium:
     """Newton iteration with the exact Jacobian, a phase row and backtracking.
 
-    L0 is the prescribed angular momentum.  A rigid Keplerian guess is
-    built from |L0| when no seed is supplied.  Each step solves
+    L0 is the prescribed angular momentum; Newton starts from the caller's
+    seed, the state state0 (of which only q is read) and the spin omega0.
+    Each step solves
     [J; T0] s = [-res; -T0 . (u - u0)] in the least-squares sense, with J
     from equilibrium_jacobian and T0 the unit tangent at the seed u0 of
     the rotation orbit about L0.  A line-search trial point outside the
@@ -232,20 +227,7 @@ def solve_relative_equilibrium(
     if L0.shape != (3,) or not np.any(L0):
         raise InvalidParameterError("L0 must be a nonzero 3-vector")
 
-    if state0 is None:
-        r_seed = _radius_from_momentum(body, material, float(np.linalg.norm(L0)))
-        state0, omega_seed = synchronous_guess(body, material, r_seed)
-        axis = L0 / np.linalg.norm(L0)
-        omega_seed = float(np.linalg.norm(omega_seed)) * axis
-    else:
-        omega_seed = None
-    if omega0 is not None:
-        omega_seed = np.asarray(omega0, dtype=float)
-    if omega_seed is None:
-        # spin rate implied by the seed state's own momentum budget
-        omega_seed = L0 / max(np.linalg.norm(L0), 1.0)
-
-    u = np.concatenate([state0.q, np.asarray(omega_seed, dtype=float)])
+    u = np.concatenate([state0.q, np.asarray(omega0, dtype=float)])
     nq = body.n_modes
     u0 = u.copy()
     N = skew(L0 / np.linalg.norm(L0))

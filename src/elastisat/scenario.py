@@ -191,8 +191,11 @@ class EquilibriumStart:
     nonzero vector, or at the momentum of the rigid synchronous orbit at
     orbit_radius (exactly one).
 
-    spin_boost scales the velocity about the barycenter, a pure spin kick;
-    perturbation > 0 adds a Gaussian velocity kick drawn from the seed.
+    Newton starts from a rigid synchronous orbit: the one at orbit_radius,
+    or for L0 the one at the radius whose Keplerian momentum is |L0| (at
+    least 1.5 mean radii), its spin turned along L0. spin_boost scales the
+    velocity about the barycenter, a pure spin kick; perturbation > 0 adds
+    a Gaussian velocity kick drawn from the seed.
     """
 
     L0: tuple[float, float, float] | None = None
@@ -217,7 +220,7 @@ class EquilibriumStart:
         from .equilibria import solve_relative_equilibrium
 
         L0, guess, omega0 = self.equilibrium_seed(body, material, seed)
-        state = solve_relative_equilibrium(body, material, L0, state0=guess, omega0=omega0).state
+        state = solve_relative_equilibrium(body, material, L0, guess, omega0).state
         if self.spin_boost != 1.0:
             # Scale the velocity field about the barycenter, leaving the
             # barycenter velocity itself untouched: a pure spin kick.
@@ -228,12 +231,19 @@ class EquilibriumStart:
     def equilibrium_seed(self, body: ReferenceBody, material: MaterialParams, seed):
         if self.orbit_radius is not None:
             return _synchronous_seed(body, material, self.orbit_radius)
-        return np.array(self.L0), None, None
+        L0 = np.array(self.L0)
+        L_mag = float(np.linalg.norm(L0))
+        radius = max(L_mag**2 / (body.mass**2 * material.kM), 1.5 * body.mean_radius)
+        guess, omega = synchronous_guess(body, material, radius)
+        return L0, guess, float(np.linalg.norm(omega)) * (L0 / np.linalg.norm(L0))
 
 
 @dataclass(frozen=True)
 class ExplicitStart:
-    """initial kind explicit: the Galerkin coefficients q and qdot, one per mode."""
+    """initial kind explicit: the Galerkin coefficients q and qdot, one per mode.
+
+    Newton starts from this state at its momentum L0, spinning at L0 / max(|L0|, 1).
+    """
 
     q: tuple[float, ...]
     qdot: tuple[float, ...]
@@ -243,7 +253,8 @@ class ExplicitStart:
 
     def equilibrium_seed(self, body: ReferenceBody, material: MaterialParams, seed):
         state = self.state(body, material, seed)
-        return angular_momentum(body, state), state, None
+        L0 = angular_momentum(body, state)
+        return L0, state, L0 / max(np.linalg.norm(L0), 1.0)
 
 
 _STARTS = {"orbital": OrbitalStart, "equilibrium": EquilibriumStart, "explicit": ExplicitStart}
@@ -274,12 +285,7 @@ class Scenario:
         return self.initial.state(self.body, self.material, self.seed)
 
     def equilibrium_seed(self):
-        """(L0, state0, omega0) that seed a relative-equilibrium solve for this scenario.
-
-        An orbit radius (kind orbital, or equilibrium with orbit_radius)
-        seeds Newton with the synchronous orbit there; L0 leaves the start
-        to the solver; kind explicit targets its state's momentum.
-        """
+        """(L0, state0, omega0) that seed Newton for this scenario, as its start's class says."""
         return self.initial.equilibrium_seed(self.body, self.material, self.seed)
 
 
@@ -381,6 +387,7 @@ def sweep_point(base: dict, parameter: str, value, index: int) -> dict:
             node[part] = nxt
         node = nxt
     node[parts[-1]] = value
-    if "seed" in doc and doc["seed"] is not None:
-        doc["seed"] = int(doc["seed"]) + index
+    seed = doc.get("seed")
+    if isinstance(seed, int) and not isinstance(seed, bool):  # any other seed fails validation
+        doc["seed"] = seed + index
     return doc

@@ -458,6 +458,39 @@ def test_sweep_point_with_an_infinite_value_is_an_error_row(tmp_path):
     assert not (out / "point-001" / "result.json").exists()
 
 
+def test_a_start_beyond_the_escape_ceiling_exits_3_and_is_an_error_row(tmp_path, caplog):
+    doc = _orbital_doc(initial={"orbit_radius": 20.0},
+                       integrator={"t_end": 50.0, "escape_radius": 10.0})
+    cfg = _write(tmp_path / "far.yaml", doc)
+    with caplog.at_level("ERROR", logger="elastisat"):
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "barycenter at distance 20 is at or beyond the escape radius 10" in caplog.text
+    sweep = {"base": _orbital_doc(integrator={"t_end": 0.5, "escape_radius": 10.0}),
+             "sweep": {"parameter": "initial.orbit_radius", "values": [3.0, 20.0]}}
+    out = tmp_path / "sweep"
+    assert main(["sweep", "--config", _write(tmp_path / "sweep.yaml", sweep),
+                 "--out", str(out)]) == 0
+    with open(out / "summary.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["outcome"] for r in rows] == ["Undetermined", "error"]
+    error = json.loads((out / "point-001" / "error.json").read_text())
+    assert error["error_type"] == "InvalidParameterError"
+    assert "escape radius" in error["error"]
+
+
+@pytest.mark.parametrize("seed, parameter, values", [
+    ("x", "viscosity.eta", [0.1]), (True, "viscosity.eta", [0.1]), (None, "seed", [1.7])])
+def test_sweep_with_a_seed_that_is_no_integer_exits_2(tmp_path, caplog, seed, parameter, values):
+    # the sweep advances only an integer seed; any other reaches validation as it is
+    sweep = {"base": _orbital_doc(seed=seed), "sweep": {"parameter": parameter, "values": values}}
+    out = tmp_path / "out"
+    with caplog.at_level("ERROR", logger="elastisat"):
+        assert main(["sweep", "--config", _write(tmp_path / "sweep.yaml", sweep),
+                     "--out", str(out)]) == 2
+    assert "seed must be an integer" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("where", ["values", "base"])
 def test_sweep_rejects_data_json_cannot_encode(tmp_path, where):
     # a YAML date past index 0 used to crash the summary's json.dumps (exit 1)

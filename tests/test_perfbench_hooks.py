@@ -5,11 +5,12 @@ names through which one layer calls the next.  A refactor that moves or
 renames one of them leaves the hook absent, and a traced benchmark run
 then drops the per-layer metrics that need it.  This test imports
 perfbench's tracing and workloads modules as they are, through sys.path,
-and runs one capture and one equilibria operation of the benchmark's own
-generators under the tracer.
+and runs one capture, one equilibria, one impact and one escape operation
+of the benchmark's own generators under the tracer.
 """
 
 import importlib
+import json
 import math
 from pathlib import Path
 
@@ -45,6 +46,8 @@ def test_every_hook_is_present_and_every_layer_metric_is_finite(tmp_path, perfbe
     ops = [workloads.generate("capture", seed=1)[0],
            next(op for op in workloads.generate("solver", seed=1)
                 if op["command"] == "equilibria")]
+    ops += [next(op for op in workloads.generate("outcomes", seed=1) if op["expect"] == expect)
+            for expect in ("Impact", "Unbounded")]
     tracer = tracing.Tracer()
     tracer.install()
     try:
@@ -64,3 +67,9 @@ def test_every_hook_is_present_and_every_layer_metric_is_finite(tmp_path, perfbe
     metrics = tracing.layer_metrics([spans], tracer.absent)
     assert set(metrics) == set(tracing.LAYER_METRICS)
     assert all(math.isfinite(value) for value in metrics.values()), metrics
+    # a run that an event ends counts its simulated time up to the event
+    ode = [span[4] for span in spans if span[0] == "dynamics.solve_ivp"]
+    for counts, i in zip(ode[1:], (2, 3), strict=True):
+        result = json.loads((tmp_path / f"op-{i}" / "result.json").read_text())
+        assert result["outcome"] == ops[i]["expect"]
+        assert counts["nfev"] > 0 and counts["tu"] == result["t_final"]

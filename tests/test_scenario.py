@@ -300,6 +300,16 @@ def test_equilibrium_from_momentum_target():
     sc = es.scenario_from_mapping(_doc(initial={"kind": "equilibrium", "L0": L0}))
     state = sc.initial_state()
     assert np.allclose(es.angular_momentum(sc.body, state), L0, atol=1e-10)
+    # every start kind hands Newton a complete seed; the L0 seed spins along L0
+    L0 = [0.3, -0.4, 3.7]
+    n = sc.body.n_modes
+    for initial in ({"kind": "orbital", "orbit_radius": 3.0},
+                    {"kind": "equilibrium", "orbit_radius": 2.5},
+                    {"kind": "explicit", "q": state.q.tolist(), "qdot": [0.01] * n},
+                    {"kind": "equilibrium", "L0": L0}):
+        target, state0, omega0 = es.scenario_from_mapping(_doc(initial=initial)).equilibrium_seed()
+        assert target.shape == np.shape(omega0) == (3,) and state0.q.shape == (n,), initial
+    assert np.allclose(np.cross(omega0, L0), 0.0, atol=1e-15) and omega0 @ L0 > 0
 
 
 def test_sweep_point_overrides_and_advances_seed():

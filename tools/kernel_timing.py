@@ -17,9 +17,8 @@ Times, with one BLAS thread:
   holds (once per solve); ``conservative_force``, the admissible force
   (``require_regular`` then the prebuilt kernel); and ``kernel.jacobian``
   of a prebuilt kernel at eta = 0;
-- the integrator's three terminal events (impact, escape, singular), each
-  and their sum ``events``, which the integrator evaluates once per
-  accepted step;
+- the integrator's three gaps (impact, escape, singular), each and their
+  sum ``events``, which the integrator evaluates once per accepted step;
 - what the ``equilibria`` command runs: ``equilibrium_residual`` and
   ``equilibrium_jacobian``, once per Newton iteration, at the relative
   equilibrium the capture start solves for; one whole
@@ -116,9 +115,9 @@ def loop_us_per_step(degree: int, rhs_us: float, repeat: int) -> float:
     state = sc.initial_state()
     settings = sc.settings
     n_samples = max(1, int(round(LOOP_T_END / settings.sample_interval)))
-    kwargs = dict(method="DOP853", rtol=settings.rel_tol, atol=settings.abs_tol,
-                  max_step=settings.max_step, t_eval=np.linspace(0.0, LOOP_T_END, n_samples + 1),
-                  events=_termination_events(sc.body, settings), dense_output=False)
+    kwargs = dict(rtol=settings.rel_tol, atol=settings.abs_tol, max_step=settings.max_step,
+                  t_eval=np.linspace(0.0, LOOP_T_END, n_samples + 1),
+                  events=_termination_events(sc.body, settings))
     rhs = _rhs(sc.body, sc.material, sc.viscosity)
     y0 = np.concatenate([state.q, state.qdot])
     wall = []
