@@ -9,6 +9,8 @@ in this package locate and detect.
 
 __version__ = "0.1.0"  # the one source: pyproject.toml and every manifest read it
 
+from types import ModuleType as _ModuleType
+
 from .body_model import (
     DeformationBasis,
     DeformationState,
@@ -87,72 +89,6 @@ from .errors import (
 )
 from .scenario import Scenario, load_scenario, load_sweep, scenario_from_mapping, sweep_point
 
-__all__ = [
-    "CaptureMetrics",
-    "CaptureThresholds",
-    "Classification",
-    "ConfigError",
-    "DeformationBasis",
-    "DeformationState",
-    "DegenerateBasisError",
-    "DegenerateCatalogError",
-    "ElastisatError",
-    "EnergyBreakdown",
-    "ImpactProximityError",
-    "InsufficientDataError",
-    "IntegratorSettings",
-    "InvalidParameterError",
-    "MaterialParams",
-    "NoConvergenceError",
-    "NondegeneracyReport",
-    "Outcome",
-    "ReferenceBody",
-    "RelativeEquilibrium",
-    "RigidBodyModel",
-    "RigidEquilibrium",
-    "Scenario",
-    "SingularConfigurationError",
-    "Trajectory",
-    "ViscosityParams",
-    "angular_momentum",
-    "augmented_hamiltonian",
-    "build_ellipsoid_body",
-    "capture_metrics",
-    "cauchy_green_rate",
-    "classify_outcome",
-    "comoving_decomposition",
-    "conservative_force",
-    "dissipation_rate",
-    "elastic_energy",
-    "ellipsoid_quadrature",
-    "energy_breakdown",
-    "equations_of_motion",
-    "evaluate_map",
-    "force_kernel",
-    "gravitational_energy",
-    "gravity_third_derivatives",
-    "group_orbit_distance",
-    "identity_coefficients",
-    "instantaneous_spin",
-    "integrate",
-    "kinetic_energy",
-    "kirchhoff_stress",
-    "load_scenario",
-    "load_sweep",
-    "mass_matrix",
-    "max_cauchy_green_rate",
-    "monomial_exponents",
-    "nondegeneracy_spectrum",
-    "rigid_quadrupole_catalog",
-    "rigid_state",
-    "scenario_from_mapping",
-    "self_gravity_energy",
-    "skew",
-    "solve_relative_equilibrium",
-    "stored_energy_density",
-    "sweep_point",
-    "synchronous_guess",
-    "two_body_energy",
-    "viscous_force",
-    "windowed_dissipation",
-]
+# Every public name the import block binds, so each export is stated once, in that block.
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -118,15 +118,15 @@ def ellipsoid_quadrature(semi_axes, order: int):
 
 @dataclass(frozen=True)
 class DeformationBasis:
-    """Vector-polynomial modes phi_(a,i)(x) = m_a(x) e_i up to a total degree.
+    """Vector-polynomial modes phi_(a,i)(x) = m_a(x) e_i.
 
-    ``exponents`` lists the scalar monomials m_a; the mode count is
+    ``exponents`` lists the scalar monomials m_a, all of total degree up to
+    the body's basis degree (monomial_exponents); the mode count is
     3 * len(exponents). Coefficient vectors are laid out component-fastest:
     q[3a + i] multiplies m_a(x) e_i, so q.reshape(-1, 3) has one monomial
     per row.
     """
 
-    degree: int
     exponents: tuple[tuple[int, int, int], ...]
 
     @property
@@ -306,7 +306,7 @@ def build_ellipsoid_body(
 
     nodes, weights = ellipsoid_quadrature(semi_axes, quadrature_order)
     exponents = tuple(monomial_exponents(basis_degree))
-    basis = DeformationBasis(degree=basis_degree, exponents=exponents)
+    basis = DeformationBasis(exponents=exponents)
 
     P = _eval_monomials(exponents, nodes)
     Gm = _eval_monomial_gradients(exponents, nodes)

@@ -80,9 +80,15 @@ class CaptureMetrics:
 
 @dataclass
 class Classification:
+    """A verdict and its evidence; the termination tag is the trajectory's own.
+
+    reason names the deciding check. metrics and equilibrium are set once
+    Newton has matched an equilibrium to the tail, escape_energy on an
+    escape and t_impact on an impact.
+    """
+
     outcome: Outcome
     reason: str
-    termination: str
     metrics: CaptureMetrics | None = None
     equilibrium: RelativeEquilibrium | None = None
     escape_energy: float | None = None
@@ -170,7 +176,7 @@ def windowed_dissipation(trajectory: Trajectory, window: float) -> np.ndarray:
     zero as the trajectory settles onto the non-dissipating manifold.
     """
     t = trajectory.times
-    diss = np.abs(trajectory.monitors.dissipation_rate)
+    diss = np.abs(trajectory.dissipation_rate)
     n_windows = int(np.floor((t[-1] - t[0]) / window))
     if n_windows < 1:
         raise InsufficientDataError("trajectory shorter than one window")
@@ -185,9 +191,8 @@ def windowed_dissipation(trajectory: Trajectory, window: float) -> np.ndarray:
     return out
 
 
-def _undetermined(reason, termination, **kw):
-    return Classification(outcome=Outcome.UNDETERMINED, reason=reason,
-                          termination=termination, **kw)
+def _undetermined(reason, **kw):
+    return Classification(outcome=Outcome.UNDETERMINED, reason=reason, **kw)
 
 
 def classify_outcome(
@@ -210,7 +215,6 @@ def classify_outcome(
         return Classification(
             outcome=Outcome.IMPACT,
             reason="a material point reached the impact radius",
-            termination=term,
             t_impact=float(trajectory.times[-1]),
         )
 
@@ -220,31 +224,28 @@ def classify_outcome(
             return Classification(
                 outcome=Outcome.UNBOUNDED,
                 reason=f"escape ceiling crossed with positive two-body energy {e2:.6g}",
-                termination=term,
                 escape_energy=e2,
             )
         return _undetermined(
             f"escape ceiling crossed but two-body energy {e2:.6g} is negative; "
             "the orbit may still be bound",
-            term,
             escape_energy=e2,
         )
 
     if term != "completed":
         return _undetermined(
-            f"integration did not complete: {trajectory.termination_reason or term}", term
+            f"integration did not complete: {trajectory.termination_reason or term}"
         )
 
     rate = float(np.linalg.norm(trajectory.omega_orbit[-1]))
     if rate <= 0.0:
-        return _undetermined("no orbital motion at the final sample", term)
+        return _undetermined("no orbital motion at the final sample")
     window = thresholds.window_periods * 2.0 * np.pi / rate
     t_from = float(trajectory.times[-1]) - window
     if t_from < float(trajectory.times[0]):
         return _undetermined(
             f"assessment window {window:.3g} exceeds trajectory span "
-            f"{float(trajectory.times[-1]) - float(trajectory.times[0]):.3g}",
-            term,
+            f"{float(trajectory.times[-1]) - float(trajectory.times[0]):.3g}"
         )
     tail = trajectory.tail(t_from)
 
@@ -254,9 +255,7 @@ def classify_outcome(
     cdot_end = float(tail.cdot_max[-1])
     if not cdot_end < thresholds.cdot_max:
         return _undetermined(
-            f"tail rigidity cdot_max {cdot_end:.3e} is not below "
-            f"{thresholds.cdot_max:.3e}",
-            term,
+            f"tail rigidity cdot_max {cdot_end:.3e} is not below {thresholds.cdot_max:.3e}"
         )
 
     L0 = trajectory.monitors.L[-1]
@@ -267,13 +266,13 @@ def classify_outcome(
         )
     except (NoConvergenceError, SingularConfigurationError, ImpactProximityError) as exc:
         return _undetermined(
-            f"no relative equilibrium found at the trajectory momentum: {exc}", term
+            f"no relative equilibrium found at the trajectory momentum: {exc}"
         )
 
     try:
         metrics = capture_metrics(body, tail, eq)
     except InsufficientDataError as exc:
-        return _undetermined(f"capture assessment impossible: {exc}", term)
+        return _undetermined(f"capture assessment impossible: {exc}")
 
     checks = [
         ("tail rigidity cdot_max", metrics.cdot_max, thresholds.cdot_max),
@@ -284,14 +283,13 @@ def classify_outcome(
     for label, value, gate in checks:
         if not value < gate:
             return _undetermined(
-                f"{label} {value:.3e} is not below {gate:.3e}", term,
+                f"{label} {value:.3e} is not below {gate:.3e}",
                 metrics=metrics, equilibrium=eq,
             )
 
     return Classification(
         outcome=Outcome.SYNCHRONOUS_CAPTURE,
         reason="tail is rigid, synchronous, and on a relative-equilibrium group orbit",
-        termination=term,
         metrics=metrics,
         equilibrium=eq,
     )

@@ -158,7 +158,7 @@ def _cmd_simulate(scenario, phases):
         "final": {
             "K": mons.K[-1], "U_g": mons.U_g[-1], "U_sg": mons.U_sg[-1],
             "U_e": mons.U_e[-1], "H": H[-1], "L": L[-1],
-            "diss_rate": mons.dissipation_rate[-1],
+            "diss_rate": trajectory.dissipation_rate[-1],
         },
         "audit": {
             "H_drop": float(H[0] - H[-1]),
@@ -199,7 +199,7 @@ _CATALOG_COLUMNS = (
     "n_negative", "n_zero", "n_positive", "stable",
 )
 _FAMILY_FIELDS = ("radial_axis", "normal_axis", "rotation", "barycenter", "omega", "energy",
-                  "angular_momentum", "eigenvalues", "stable")  # catalog.json, per family
+                  "angular_momentum", "stable")  # catalog.json, per family, with eigenvalues
 
 
 def _cmd_catalog(scenario, phases):
@@ -213,13 +213,14 @@ def _cmd_catalog(scenario, phases):
     rows = [
         [i, *e.radial_axis, *e.normal_axis, e.spin_rate, e.energy, e.angular_momentum[2],
          np.linalg.norm(e.res_force), np.linalg.norm(e.res_torque),
-         e.n_negative, e.n_zero, e.n_positive, int(e.stable)]
+         e.spectrum.n_negative, e.spectrum.n_zero, e.spectrum.n_positive, int(e.stable)]
         for i, e in enumerate(entries)
     ]
     doc = {
         "config_sha256": scenario.config_hash(),
         "orbit_radius": radius,
-        "families": [{k: getattr(e, k) for k in _FAMILY_FIELDS} for e in entries],
+        "families": [{**{k: getattr(e, k) for k in _FAMILY_FIELDS},
+                      "eigenvalues": e.spectrum.eigenvalues} for e in entries],
     }
     n_stable = sum(1 for e in entries if e.stable)
     summary = (f"{scenario.name}: {len(entries)} rigid families at radius {radius:g}, "
@@ -263,10 +264,11 @@ def _cmd_sweep(args) -> int:
     with _phase(phases, "points"):
         payloads = [(i, value, sweep_point(base, parameter, value, i), str(outdir))
                     for i, value in enumerate(values)]
-        if args.workers > 1:
+        workers = min(args.workers, len(payloads))  # the pool forks all its workers up front
+        if workers > 1:
             from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing
 
-            with ProcessPoolExecutor(max_workers=args.workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
                 rows = list(pool.map(_run_sweep_point, payloads))
         else:
             rows = [_run_sweep_point(p) for p in payloads]

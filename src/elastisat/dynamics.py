@@ -16,12 +16,13 @@ Dzeta over the distinct node gradients (the singular state itself has no
 monitors and is not recorded). Every gap must be positive at the start.
 The gap that closes and each run's step counts are logged at debug
 level.
-Trajectories are columnar, one row per sample: energy monitors, the
-rigidity diagnostic, and the spin, orbital rate and comoving planet offset
-the classifier reads. They are built in one pass, each monitor evaluated
-on the stack of states. The spin fit and the comoving frame are moments of
-the coefficient rows in the Gram matrix, so only gravity and the
-pointwise checks read the full-rule nodes, and regularity is checked once.
+Trajectories are columnar, one row per sample: the conservative budget,
+the dissipation rate and rigidity diagnostic, and the spin, orbital rate
+and comoving planet offset the classifier reads. They are built in one
+pass, each monitor evaluated on the stack of states. The spin fit and the
+comoving frame are moments of the coefficient rows in the Gram matrix, so
+only gravity and the pointwise checks read the full-rule nodes, and
+regularity is checked once.
 """
 
 from __future__ import annotations
@@ -110,25 +111,27 @@ class Trajectory:
     """Recorded integration output, one column per quantity, and the termination.
 
     Row i of every array is sample i: the state (q_history[i],
-    qdot_history[i]), the energy monitors (monitors is one EnergyBreakdown
-    of (n,) columns and an (n, 3) L), the sup-node Cauchy-Green rate
-    cdot_max[i], the comoving planet offset Y[i] of comoving_decomposition,
-    and the spin and orbital angular velocities omega_spin[i],
-    omega_orbit[i] of instantaneous_spin.  nfev counts the integrator's
+    qdot_history[i]); the conservative budget (monitors, one
+    EnergyBreakdown of (n,) columns and an (n, 3) L); the two monitors of
+    dissipation.py, the rate dissipation_rate[i] and the sup-node
+    Cauchy-Green rate cdot_max[i]; the comoving planet offset Y[i] of
+    comoving_decomposition; and the spin and orbital angular velocities
+    omega_spin[i], omega_orbit[i] of instantaneous_spin.  nfev counts the integrator's
     right-hand-side evaluations over the whole run, the three dense-output
     stages of each step that records a sample or locates an event
     included; njev counts Jacobian evaluations, 0 for DOP853.
     """
 
     times: np.ndarray
-    q_history: np.ndarray        # (n, 3N)
-    qdot_history: np.ndarray     # (n, 3N)
-    monitors: EnergyBreakdown    # (n,) columns, L (n, 3)
-    cdot_max: np.ndarray         # (n,)
-    Y: np.ndarray                # (n, 3)
-    omega_spin: np.ndarray       # (n, 3)
-    omega_orbit: np.ndarray      # (n, 3)
-    termination: str             # completed | impact-detected | escape-detected | step-failure
+    q_history: np.ndarray         # (n, 3N)
+    qdot_history: np.ndarray      # (n, 3N)
+    monitors: EnergyBreakdown     # (n,) columns, L (n, 3)
+    dissipation_rate: np.ndarray  # (n,)
+    cdot_max: np.ndarray          # (n,)
+    Y: np.ndarray                 # (n, 3)
+    omega_spin: np.ndarray        # (n, 3)
+    omega_orbit: np.ndarray       # (n, 3)
+    termination: str              # completed | impact-detected | escape-detected | step-failure
     termination_reason: str = ""
     nfev: int = 0
     njev: int = 0
@@ -151,7 +154,7 @@ class Trajectory:
         """Monitor table in the frozen MONITOR_COLUMNS order, shape (n, 13)."""
         mon = self.monitors
         return np.column_stack([
-            self.times, mon.K, mon.U_g, mon.U_sg, mon.U_e, mon.H, mon.L, mon.dissipation_rate,
+            self.times, mon.K, mon.U_g, mon.U_sg, mon.U_e, mon.H, mon.L, self.dissipation_rate,
             self.cdot_max, row_norms(self.Y), row_norms(self.omega_spin),
         ])
 
@@ -271,9 +274,8 @@ def _build_trajectory(body, times, states, material, viscosity, termination, rea
         times=np.asarray(times, dtype=float),
         q_history=st.q,
         qdot_history=st.qdot,
-        monitors=energy_breakdown(
-            body, st, material, dissipation_rate=dissipation_rate(body, st, viscosity)
-        ),
+        monitors=energy_breakdown(body, st, material),
+        dissipation_rate=dissipation_rate(body, st, viscosity),
         cdot_max=max_cauchy_green_rate(body, st),
         Y=comoving_decomposition(body, st)[1],
         omega_spin=omega_spin,

@@ -80,7 +80,7 @@ class MaterialParams:
 
 @dataclass
 class EnergyBreakdown:
-    """Energies, total, angular momentum, and dissipation rate.
+    """The conservative budget: energies, their total H, and angular momentum.
 
     Each field carries the leading axes of the state it was evaluated on:
     scalars (and L of shape (3,)) for one state, columns of shape (n,)
@@ -93,7 +93,6 @@ class EnergyBreakdown:
     U_e: float | np.ndarray
     H: float | np.ndarray
     L: np.ndarray
-    dissipation_rate: float | np.ndarray = 0.0
 
 
 def _green_strain(F) -> np.ndarray:
@@ -382,13 +381,12 @@ def gravity_third_derivatives(Y, kM: float):
 
 
 def energy_breakdown(
-    body: ReferenceBody, state: DeformationState, params: MaterialParams,
-    dissipation_rate: float | np.ndarray = 0.0,
+    body: ReferenceBody, state: DeformationState, params: MaterialParams
 ) -> EnergyBreakdown:
-    """All conservative monitors of one state or a stack (dissipation rate supplied by caller)."""
+    """The conservative budget of one state or a stack (the loss rate is dissipation_rate)."""
     K = kinetic_energy(body, state)
     U_g = gravitational_energy(body, state, params)
     U_sg = self_gravity_energy(body, state, params)
     U_e = elastic_energy(body, state, params)
     return EnergyBreakdown(K=K, U_g=U_g, U_sg=U_sg, U_e=U_e, H=K + U_g + U_sg + U_e,
-                           L=angular_momentum(body, state), dissipation_rate=dissipation_rate)
+                           L=angular_momentum(body, state))

@@ -448,7 +448,11 @@ class RigidBodyModel:
 
 @dataclass(frozen=True)
 class RigidEquilibrium:
-    """One axis-aligned rigid synchronous family at a fixed orbit radius."""
+    """One axis-aligned rigid synchronous family at a fixed orbit radius.
+
+    spectrum is the family's restricted spectrum, the report that
+    classifies it.
+    """
 
     rotation: np.ndarray
     barycenter: np.ndarray
@@ -460,15 +464,12 @@ class RigidEquilibrium:
     angular_momentum: np.ndarray
     res_force: np.ndarray
     res_torque: np.ndarray
-    eigenvalues: np.ndarray
-    n_negative: int
-    n_zero: int
-    n_positive: int
+    spectrum: NondegeneracyReport
 
     @property
     def stable(self) -> bool:
-        """Conditional (energetic) stability: definite restricted Hessian."""
-        return self.n_negative == 0 and self.n_zero == 0
+        """Conditional (energetic) stability: a nondegenerate spectrum with no negative value."""
+        return self.spectrum.nondegenerate and self.spectrum.n_negative == 0
 
 
 # The rigid helpers below take leading axes on R0, c and the velocities,
@@ -651,25 +652,19 @@ def rigid_quadrupole_catalog(
                         np.cross(axis, v), np.cross(axis, omega)], axis=-1)
     report = _restricted_spectrum(H, dL, T)
 
-    entries = []
-    for f, (radial_axis, normal_axis) in enumerate(axes):
-        spectrum = report[f]
-        entries.append(
-            RigidEquilibrium(
-                rotation=R[f],
-                barycenter=c.copy(),
-                omega=omega[f],
-                spin_rate=rates[f],
-                radial_axis=radial_axis,
-                normal_axis=normal_axis,
-                energy=float(energy[f]),
-                angular_momentum=L[f],
-                res_force=res_force[f],
-                res_torque=res_torque[f],
-                eigenvalues=spectrum.eigenvalues,
-                n_negative=spectrum.n_negative,
-                n_zero=spectrum.n_zero,
-                n_positive=spectrum.n_positive,
-            )
+    return [
+        RigidEquilibrium(
+            rotation=R[f],
+            barycenter=c.copy(),
+            omega=omega[f],
+            spin_rate=rates[f],
+            radial_axis=radial_axis,
+            normal_axis=normal_axis,
+            energy=float(energy[f]),
+            angular_momentum=L[f],
+            res_force=res_force[f],
+            res_torque=res_torque[f],
+            spectrum=report[f],
         )
-    return entries
+        for f, (radial_axis, normal_axis) in enumerate(axes)
+    ]

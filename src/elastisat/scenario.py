@@ -351,8 +351,8 @@ def load_sweep(path):
     """Parse a sweep file: a base scenario plus one swept dotted parameter.
 
     Returns (base_doc, parameter, values).  Each sweep point is the base
-    document with the dotted path overridden and, when a seed is present,
-    the seed advanced by the point index.
+    document with the dotted path overridden and, when a seed is present
+    and is not the swept parameter, the seed advanced by the point index.
     """
     doc = _require_mapping(_read_yaml(path), "document root")
     _check_keys(doc, _SWEEP_KEYS, "document root")
@@ -376,7 +376,7 @@ def load_sweep(path):
 
 
 def sweep_point(base: dict, parameter: str, value, index: int) -> dict:
-    """Base document with the swept parameter overridden and the seed advanced."""
+    """Base document with the swept parameter set and, unless swept, the seed advanced by index."""
     doc = json.loads(json.dumps(base))  # deep copy of plain YAML data
     node = doc
     parts = parameter.split(".")
@@ -388,6 +388,6 @@ def sweep_point(base: dict, parameter: str, value, index: int) -> dict:
         node = nxt
     node[parts[-1]] = value
     seed = doc.get("seed")
-    if isinstance(seed, int) and not isinstance(seed, bool):  # any other seed fails validation
+    if parameter != "seed" and type(seed) is int:  # a seed of any other type fails validation
         doc["seed"] = seed + index
     return doc

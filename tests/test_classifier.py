@@ -99,13 +99,13 @@ def test_windowed_dissipation_on_synthetic_decay():
     times = np.linspace(0.0, 10.0, 2001)
     zeros = np.zeros(times.size)
     monitors = EnergyBreakdown(K=zeros, U_g=zeros, U_sg=zeros, U_e=zeros, H=zeros,
-                               L=np.tile([0.0, 0.0, 1.0], (times.size, 1)),
-                               dissipation_rate=-np.exp(-times))
+                               L=np.tile([0.0, 0.0, 1.0], (times.size, 1)))
     traj = Trajectory(
         times=times,
         q_history=np.zeros((times.size, 12)),
         qdot_history=np.zeros((times.size, 12)),
         monitors=monitors,
+        dissipation_rate=-np.exp(-times),
         cdot_max=np.zeros(times.size),
         Y=np.zeros((times.size, 3)),
         omega_spin=np.zeros((times.size, 3)),

@@ -289,6 +289,53 @@ def test_degenerate_catalog_exits_3(tmp_path):
     assert main(["catalog", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
 
 
+def test_catalog_without_a_real_spin_rate_exits_3(tmp_path, caplog):
+    cfg = _write(tmp_path / "close.yaml",
+                 _orbital_doc(initial={"kind": "orbital", "orbit_radius": 0.5}))
+    with caplog.at_level("ERROR", logger="elastisat"):
+        assert main(["catalog", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "no real spin rate" in caplog.text
+
+
+def _short_capture_doc(integrator=None, classifier=None):
+    """capture.yaml's body, material and start, kicked by 1e-6 and classified at t = 30."""
+    return {
+        "name": "short-capture",
+        "body": {"semi_axes": [1.0, 0.85, 0.6]},
+        "material": {"epsilon": 3.0},
+        "viscosity": {"eta": 1.2},
+        "initial": {"kind": "equilibrium", "orbit_radius": 2.5, "spin_boost": 1.000001},
+        "integrator": {"t_end": 30.0, "record_every": 1.25, **(integrator or {})},
+        "classifier": {"window_periods": 1.25, **(classifier or {})},
+    }
+
+
+def _escape_doc():
+    """sweep_speed.yaml's base, bound (factor 1.2) but past a ceiling of 10 by t = 150."""
+    doc = yaml.safe_load((SCENARIOS / "sweep_speed.yaml").read_text())["base"]
+    doc["initial"]["tangential_factor"] = 1.2
+    doc["integrator"].update(escape_radius=10.0, t_end=150.0)
+    return doc
+
+
+@pytest.mark.parametrize("doc, reason, evidence", [
+    (_escape_doc(), "escape ceiling crossed but two-body energy -0.120917 is negative", False),
+    (_short_capture_doc(integrator={"record_every": 5.0}),
+     "capture assessment impossible: only 5 samples", False),
+    (_short_capture_doc(classifier={"shape_residual": 1e-12}),
+     "group-orbit shape residual 2.445e-07 is not below 1.000e-12", True),
+], ids=["bound-escape", "few-samples", "gate-after-newton"])
+def test_undetermined_verdicts_name_the_failing_check(tmp_path, doc, reason, evidence):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path / "run.yaml", doc),
+                 "--out", str(out)]) == 0
+    result = json.loads((out / "result.json").read_text())
+    assert result["outcome"] == "Undetermined"
+    assert result["reason"].startswith(reason)
+    # metrics and the matched equilibrium are reported once Newton has run
+    assert (result["metrics"] is not None, result["equilibrium"] is not None) == (evidence,) * 2
+
+
 def _assert_residual_trace(eq_doc):
     # one 2-norm before the first step and one per accepted step; the last
     # iteration finds the residual below tol and takes no step
@@ -380,6 +427,53 @@ def test_sweep_outcomes_and_worker_determinism(tmp_path):
     for i in range(2):
         assert (out1 / f"point-{i:03d}" / "result.json").exists()
         assert (out1 / f"point-{i:03d}" / "config.json").exists()
+
+
+@pytest.mark.parametrize("values, pools", [([1.0, 2.0], [2]), ([1.0], [])])
+def test_sweep_starts_no_more_workers_than_points(tmp_path, monkeypatch, values, pools):
+    # the pool forks every worker it is given up front, so --workers 64
+    # on two points starts two, and on one point the sweep runs serially
+    import concurrent.futures
+
+    made = []
+
+    class RecordingPool:
+        """ProcessPoolExecutor's stand-in: records max_workers and maps in this process."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    sweep = {"base": _orbital_doc(integrator={"t_end": 0.5, "record_every": 0.25}),
+             "sweep": {"parameter": "integrator.t_end", "values": values}}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path / "sweep.yaml", sweep),
+                 "--out", str(out), "--workers", "64"]) == 0
+    assert made == pools
+    assert len((out / "summary.csv").read_text().splitlines()) == 1 + len(values)
+
+
+def test_swept_seed_is_the_seed_each_point_runs(tmp_path):
+    # the seed advances by the point index only when another key is swept
+    sweep = {"base": _orbital_doc(seed=3, integrator={"t_end": 0.5, "record_every": 0.25}),
+             "sweep": {"parameter": "seed", "values": [7, 7, 9]}}
+    out = tmp_path / "out"
+    assert main(["sweep", "--config", _write(tmp_path / "sweep.yaml", sweep),
+                 "--out", str(out)]) == 0
+    seeds = [json.loads((out / f"point-{i:03d}" / "config.json").read_text())["seed"]
+             for i in range(3)]
+    assert seeds == [7, 7, 9]
+    with open(out / "summary.csv", newline="") as fh:
+        assert [row["value"] for row in csv.DictReader(fh)] == ["7", "7", "9"]
 
 
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
@@ -553,3 +647,13 @@ def test_import_equilibria_and_catalog_load_no_scipy(tmp_path, command):
     if command == "simulate":
         result = json.loads((out / "result.json").read_text())
         assert result["termination"] == "impact-detected"
+
+
+def test_all_is_every_public_name_the_package_binds():
+    public = sorted(name for name in vars(elastisat)
+                    if not name.startswith("_")
+                    and not isinstance(getattr(elastisat, name), type(elastisat)))
+    assert elastisat.__all__ == public
+    star = {}
+    exec("from elastisat import *", star)  # every listed name resolves
+    assert sorted(star.keys() - {"__builtins__"}) == public

@@ -44,7 +44,7 @@ def test_viscous_run_dissipates_monotonically(triaxial):
     assert np.max(np.linalg.norm(L - L[0], axis=1)) < 1e-10 * np.linalg.norm(L[0])
     # recorded rate is Hdot and never positive; the exact Hdot = -qdot.g
     # balance is checked against quadrature in the acceptance suite
-    assert np.all(traj.monitors.dissipation_rate <= 0.0)
+    assert np.all(traj.dissipation_rate <= 0.0)
 
 
 def test_monitor_rows_match_recomputed_breakdown(triaxial):
@@ -55,13 +55,12 @@ def test_monitor_rows_match_recomputed_breakdown(triaxial):
     rows = traj.monitor_rows()
     for i in range(len(traj)):
         st = traj.state(i)
-        mon = es.energy_breakdown(
-            triaxial, st, EPS3, dissipation_rate=es.dissipation_rate(triaxial, st, visc)
-        )
+        mon = es.energy_breakdown(triaxial, st, EPS3)
         assert traj.monitors.H[i] == pytest.approx(mon.H, rel=1e-13)
         assert traj.monitors.K[i] == pytest.approx(mon.K, rel=1e-13)
         assert np.allclose(traj.monitors.L[i], mon.L, rtol=1e-13)
-        assert traj.monitors.dissipation_rate[i] == pytest.approx(mon.dissipation_rate, rel=1e-13)
+        assert traj.dissipation_rate[i] == pytest.approx(
+            es.dissipation_rate(triaxial, st, visc), rel=1e-13)
         assert traj.cdot_max[i] == pytest.approx(es.max_cauchy_green_rate(triaxial, st), rel=1e-13)
         _, Y, _ = es.comoving_decomposition(triaxial, st)
         w_spin, w_orbit = es.instantaneous_spin(triaxial, st)

@@ -352,9 +352,9 @@ def test_rigid_stack_is_the_one_family_calls(triaxial, material):
         assert np.array_equal(dL[f], dL1)
         assert np.array_equal(one.eigenvalues, _scipy_restricted_spectrum(H1, dL1, T[f]))
         assert np.array_equal(report.eigenvalues[f], one.eigenvalues)
-        assert np.array_equal(fam.eigenvalues, one.eigenvalues)
+        assert np.array_equal(fam.spectrum.eigenvalues, one.eigenvalues)
         assert report[f].floor == one.floor
-        assert (fam.n_negative, fam.n_zero, fam.n_positive) == (
+        assert (fam.spectrum.n_negative, fam.spectrum.n_zero, fam.spectrum.n_positive) == (
             one.n_negative, one.n_zero, one.n_positive)
 
 
@@ -376,7 +376,7 @@ def test_catalog_enumerates_24_families(triaxial, material):
         assert fam.normal_axis[0] == 2   # largest-inertia axis spans the normal
     signatures = {}
     for fam in cat:
-        key = (fam.n_negative, fam.n_zero, fam.n_positive)
+        key = (fam.spectrum.n_negative, fam.spectrum.n_zero, fam.spectrum.n_positive)
         signatures[key] = signatures.get(key, 0) + 1
     assert signatures == {(0, 0, 8): 4, (1, 0, 7): 8, (2, 0, 6): 8, (3, 0, 5): 4}
 

@@ -334,11 +334,9 @@ def _monitors(body, state):
     """
     R, Y, residual = es.comoving_decomposition(body, state)
     omega_spin, omega_orbit = es.instantaneous_spin(body, state)
-    mon = es.energy_breakdown(
-        body, state, MAT, dissipation_rate=es.dissipation_rate(body, state, es.ViscosityParams(ETA))
-    )
     return {
-        **dataclasses.asdict(mon),
+        **dataclasses.asdict(es.energy_breakdown(body, state, MAT)),
+        "dissipation_rate": es.dissipation_rate(body, state, es.ViscosityParams(ETA)),
         "cdot_max": es.max_cauchy_green_rate(body, state),
         "R": R, "Y": Y, "xi_residual": residual,
         "omega_spin": omega_spin, "omega_orbit": omega_orbit,

@@ -319,6 +319,7 @@ def test_sweep_point_overrides_and_advances_seed():
     assert point["seed"] == 10
     assert "tangential_factor" not in base["initial"]  # deep copy, base untouched
     assert base["seed"] == 7
+    assert es.sweep_point(base, "seed", 7, 3)["seed"] == 7  # a swept seed is not advanced
     # dotted paths create missing intermediate sections
     point = es.sweep_point(base, "classifier.cdot_max", 1e-5, 0)
     assert point["classifier"]["cdot_max"] == 1e-5
