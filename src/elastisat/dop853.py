@@ -16,8 +16,10 @@ and optimize/Zeros/brentq.c), in the same order, so a run gives the same
 samples, event times, nfev and messages bit for bit. What the loop leaves
 out touches no bits: the solver object and its wrapper layers, a fresh
 array per stage (the right-hand side fun(t, y, out) writes each stage
-into the row of the stage matrix K it is handed) and the per-step event
-lists.
+into the row of the stage matrix K it is handed), a fresh array per
+intermediate of a step (the new state alternates between two buffers,
+and the error scale and estimates have one buffer each, written by the
+same operations in the same order) and the per-step event lists.
 
 The tableau and the loop are ported from SciPy, under its licence:
 
@@ -327,7 +329,9 @@ def solve_ivp(fun, t_span, y0, t_eval, events, rtol, atol, max_step=np.inf) -> O
 
     fun(t, y, out) writes the derivative into out. Each of events is a gap
     g(t, y): the earliest root in a step of a gap that is >= 0 at the
-    step's start and <= 0 at its end ends the run. rtol >= MIN_RTOL.
+    step's start and <= 0 at its end ends the run. rtol >= MIN_RTOL. The
+    y that fun and the gaps are handed may be one of the loop's buffers,
+    valid for that call only; y0 itself is never written.
     """
     if rtol < MIN_RTOL:
         raise ValueError(f"rtol must be at least {MIN_RTOL}")
@@ -339,6 +343,9 @@ def solve_ivp(fun, t_span, y0, t_eval, events, rtol, atol, max_step=np.inf) -> O
     stages = [(K[:s].T, A[s, :s], float(C[s]), K[s]) for s in range(N_STAGES_EXTENDED)]
     KT_error = K[:N_STAGES + 1].T
     dy, y_stage = np.empty(n), np.empty(n)
+    # y_new alternates between two buffers, so the step's start y is never written
+    y_a, y_b = np.empty(n), np.empty(n)
+    scale, err5, err3 = np.empty(n), np.empty(n), np.empty(n)
     f = K[N_STAGES]  # the derivative at (t, y); a step's last stage is the next one's first
     fun(t, y, f)
     h_abs = _initial_step(fun, t, y, f, K[1], t_bound - t, max_step, rtol, atol)
@@ -355,6 +362,7 @@ def solve_ivp(fun, t_span, y0, t_eval, events, rtol, atol, max_step=np.inf) -> O
         min_step = 10 * (math.nextafter(t, math.inf) - t)
         h_abs = max_step if h_abs > max_step else min_step if h_abs < min_step else h_abs
         K[0] = f
+        y_new = y_b if y is y_a else y_a
         rejected = False
         while True:
             if h_abs < min_step:
@@ -367,11 +375,17 @@ def solve_ivp(fun, t_span, y0, t_eval, events, rtol, atol, max_step=np.inf) -> O
                 np.dot(KT, a, out=dy)
                 dy *= h
                 fun(t + c * h, np.add(y, dy, out=y_stage), out)
-            y_new = y + h * np.dot(stages[N_STAGES][0], B)
-            fun(t + h, y_new, f)
+            np.dot(stages[N_STAGES][0], B, out=dy)
+            dy *= h
+            fun(t + h, np.add(y, dy, out=y_new), f)
             nfev += N_STAGES
-            scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-            err5, err3 = np.dot(KT_error, E5) / scale, np.dot(KT_error, E3) / scale
+            np.maximum(np.abs(y, out=scale), np.abs(y_new, out=dy), out=scale)
+            scale *= rtol
+            scale += atol
+            np.dot(KT_error, E5, out=err5)
+            err5 /= scale
+            np.dot(KT_error, E3, out=err3)
+            err3 /= scale
             err5_norm_2, err3_norm_2 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
             if err5_norm_2 == 0 and err3_norm_2 == 0:
                 error_norm = 0.0

@@ -5,15 +5,16 @@ matrix M = kron(S, I3), whose Gram inverse the body tabulates once.
 f - g comes from energetics.force_kernel, the one force kernel: f is the
 exact gradient force of the conservative potentials and g the viscous
 force. The right-hand side is built once per run (_rhs): it holds one
-kernel and the inverse Gram matrix, and each call passes the stacked
-(q, qdot) to the kernel and solves the mass matrix with one product into
-the stage row the integrator hands it. The integrator is the program's
-own DOP853 loop (dop853.solve_ivp, bit for bit scipy's solve_ivp with
-method DOP853), so no command loads scipy. A run ends where one of three
-gaps closes: the closest node's distance above the impact radius, the
-escape ceiling above the barycenter's distance, and the smallest det
-Dzeta over the distinct node gradients (the singular state itself has no
-monitors and is not recorded). Every gap must be positive at the start.
+kernel, the inverse Gram matrix and one scratch for f - g, and each call
+passes the stacked (q, qdot) to the kernel and solves the mass matrix
+with one product into the stage row the integrator hands it, allocating
+no array. The integrator is the program's own DOP853 loop
+(dop853.solve_ivp, bit for bit scipy's solve_ivp with method DOP853), so
+no command loads scipy. A run ends where one of three gaps closes: the
+closest node's distance above the impact radius, the escape ceiling
+above the barycenter's distance, and the smallest det Dzeta over the
+distinct node gradients (the singular state itself has no monitors and
+is not recorded). Every gap must be positive at the start.
 The gap that closes and each run's step counts are logged at debug
 level.
 Trajectories are columnar, one row per sample: the conservative budget,
@@ -181,17 +182,21 @@ def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityPara
 
     y = (q, qdot), shape (2 * 3N,); rhs writes (qdot, M^-1 (f - g)) into
     out, the stage row the integrator hands it, and returns it. Without
-    out it returns a fresh array on every call.
+    out it returns a fresh array on every call. The kernel writes f - g
+    into one (nm, 3) scratch held per run, and np.dot (the BLAS gemm of
+    S_inv @ (f - g)) writes the product into the row, so a call handed out
+    allocates no array and, like the kernel, is not reentrant.
     """
     kernel = force_kernel(body, material, viscosity.eta)
     nq = body.n_modes
     S_inv = body.S_inv
+    force = np.empty((nq // 3, 3))  # f - g, the kernel's output
 
     def rhs(t, y, out=None):
         ydot = np.empty_like(y) if out is None else out
         ydot[:nq] = y[nq:]
         # solve_mass: one product with the inverse Gram matrix, into ydot
-        np.matmul(S_inv, kernel(y.reshape(2, nq)), out=ydot[nq:].reshape(-1, 3))
+        np.dot(S_inv, kernel(y.reshape(2, nq), force), out=ydot[nq:].reshape(-1, 3))
         return ydot
 
     return rhs
@@ -292,26 +297,60 @@ def _termination_events(body: ReferenceBody, settings: IntegratorSettings):
 
     In the order of _TERMINATIONS: the closest node's distance less the
     impact radius, the escape ceiling less the barycenter's distance, and
-    the smallest det(Dzeta) over the nodes' distinct gradients. Each reads
-    the body's own node_positions, barycenter and distinct_gradients, the
-    routines require_regular uses, so a gap is <= 0 exactly where that
-    admissibility rule fails.
+    the smallest det(Dzeta) over the nodes' distinct gradients. Each
+    computes what the body's node_positions, barycenter and
+    distinct_gradients give, the routines require_regular uses, bit for
+    bit, so a gap is <= 0 exactly where that admissibility rule fails. The
+    first two write the same BLAS products into scratch held per run, so
+    the gaps are not reentrant. When the body's one distinct gradient
+    selects coefficient rows (_selected_entries: basis degree 1), the
+    singular gap is det3's expression on nine floats in det3's order of
+    operations; otherwise it is det3 of distinct_gradients.
     """
     nq = body.n_modes
     impact_radius, escape_radius = settings.impact_radius, settings.escape_radius
+    P, mu_vec, mass = body.P, body.mu_vec, body.mass
+    Z, r2, c = np.empty((len(P), 3)), np.empty(len(P)), np.empty(3)
 
     def impact_event(t, y):
-        Z = body.node_positions(y[:nq])
-        return math.sqrt(np.vecdot(Z, Z).min()) - impact_radius
+        np.dot(P, y[:nq].reshape(-1, 3), out=Z)  # node_positions
+        return math.sqrt(np.vecdot(Z, Z, out=r2).min()) - impact_radius
 
     def escape_event(t, y):
-        c = body.barycenter(y[:nq])
-        return escape_radius - math.sqrt(c @ c)
+        np.divide(np.dot(mu_vec, y[:nq].reshape(-1, 3), out=c), mass, out=c)  # barycenter
+        return escape_radius - math.sqrt(np.dot(c, c))
 
-    def singular_event(t, y):
-        return float(det3(body.distinct_gradients(y[:nq])).min())
+    entries = _selected_entries(body.distinct_Gm)
+    if entries is None:
+        def singular_event(t, y):
+            return float(det3(body.distinct_gradients(y[:nq])).min())
+    else:
+        def singular_event(t, y):
+            values = y.tolist()
+            f00, f01, f02, f10, f11, f12, f20, f21, f22 = [values[i] + 0.0 for i in entries]
+            return (f00 * (f11 * f22 - f12 * f21) - f01 * (f10 * f22 - f12 * f20)
+                    + f02 * (f10 * f21 - f11 * f20))
 
     return impact_event, escape_event, singular_event
+
+
+def _selected_entries(distinct_Gm: np.ndarray) -> list[int] | None:
+    """Where Dzeta's entries sit in q when its one distinct gradient selects coefficient rows.
+
+    When distinct_Gm is one table (1, 3, nm) whose row j is the unit
+    vector of monomial a_j (basis degree 1: the rows of x, y and z), the
+    gradient is F[i, j] = q[3 a_j + i] + 0.0: the product with a 0/1 row
+    adds only zeros to the one entry it selects, and a sum of signed zeros
+    from a +0.0 start is +0.0. Returns the nine offsets 3 a_j + i in row
+    order of F, or None when the table is not such a selection.
+    """
+    if len(distinct_Gm) != 1:
+        return None
+    G = distinct_Gm[0]
+    rows = G.argmax(axis=1)
+    if not np.array_equal(G, np.eye(G.shape[1])[rows]):
+        return None
+    return [3 * int(a) + i for i in range(3) for a in rows]
 
 
 def integrate(

@@ -19,15 +19,17 @@ The energy and momentum monitors take a stack of states along leading
 axes and return one value per state.
 
 force_kernel is the one force kernel: it takes every table of a body,
-material and viscosity once and returns kernel(y), the handle the
-integrator, the Newton solver and the spectrum hold; conservative_force is
-the kernel at an admissible point. Because S is linear, its total stress
-S(E) + eta Cdot is one affine map of the entries of F^T F and F^T Fdot,
-tabulated from S(E) and cauchy_green_rate once per material and
-viscosity. The kernel carries its exact Jacobian in (q, qdot),
-kernel.jacobian(y), built on the same tables and the same affine map;
-minus the Jacobian at eta = 0 is the potentials' Hessian, so Newton and
-the spectrum differentiate the kernel the integrator runs.
+material and viscosity once and returns kernel(y, out=None), the handle
+the integrator, the Newton solver and the spectrum hold; conservative_force
+is the kernel at an admissible point. A kernel keeps its intermediates
+in scratch of its own, so a call handed out allocates no array
+(self-gravity's pair tensors aside), and it is not reentrant. Because S
+is linear, its total stress S(E) + eta Cdot is one affine map of the
+entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
+once per material and viscosity. The kernel carries its exact Jacobian
+in (q, qdot), kernel.jacobian(y), built on the same tables and the same
+affine map; minus the Jacobian at eta = 0 is the potentials' Hessian, so
+Newton and the spectrum differentiate the kernel the integrator runs.
 """
 
 from __future__ import annotations
@@ -221,6 +223,18 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     and the spectrum one per call; only conservative_force checks admissibility.
     This is the only place the force arithmetic and its derivative live.
 
+    kernel(y, out) writes f - g into out, a C-contiguous float (nm, 3)
+    array, and returns it; kernel(y) returns a fresh array, which later
+    calls leave alone. Every intermediate (node positions, radii, c, the
+    gravity pullback, [F | Fdot], M, Sigma, the first Piola stress and its
+    divergence) lives in scratch allocated once per kernel; only
+    self-gravity's pair tensors are built per call. So a kernel is not
+    reentrant: one call at a time, and a kernel per thread. Each 2-D
+    product is np.dot into its scratch, which calls the same BLAS gemm or
+    gemv as the @ it replaces on the same operands, so the bits are those
+    of the product formulas below; the products batched over stress nodes
+    are np.matmul with out.
+
     Gravity: at the full-rule node x_q, zeta_q = (P A)_q with A the
     coefficient rows of q, and -dU_g/dzeta_q = c_q zeta_q with
     c_q = -kM m_q / |zeta_q|^3. Its pullback sum_q P_qa c_q zeta_q is
@@ -249,29 +263,43 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     kM_m = -params.kM * m
     block = body.stress_block[:, : k * nm, : 3 * k]
     L, sigma0 = _stress_map(params, eta)
-    stress_divergence = body.stress_divergence
+    stress_adjoint, stress_divergence = body.stress_adjoint, body.stress_divergence
     self_gravity = params.self_gravity_k > 0.0
     if self_gravity:
         PT, mm, softening = P.T, m[:, None] * m[None, :], params.softening
         two_k = 2.0 * params.self_gravity_k
+    # the kernel's scratch, one array per intermediate, written by every call
+    nq, ns = len(P), len(block)
+    Z, r2, c, root = np.empty((nq, 3)), np.empty(nq), np.empty(nq), np.empty(nq)
+    pullback, force, divergence = np.empty(nm * nm), np.empty((nm, 3)), np.empty((nm, 3))
+    FFdot, M = np.empty((ns, 3, 3 * k)), np.empty((ns, 3, 3 * k))
+    sigma, piola, piola_T = np.empty((ns, 9)), np.empty((ns, 3, 3)), np.empty((ns, 3, 3))
+    F = FFdot[..., :3]
+    sigma0_rows = np.empty((ns, 9))
+    sigma0_rows[:] = sigma0  # one row per node: the add below does not broadcast
 
-    def kernel(y):
+    def kernel(y, out=None):
         A = y[0].reshape(nm, 3)
-        Z = P @ A
-        r2 = np.vecdot(Z, Z)
+        np.dot(P, A, out=Z)
+        np.vecdot(Z, Z, out=r2)
         # c_q; dividing by r2 and sqrt(r2) in turn rounds differently from one
         # division by their product, and Newton's stop on seeds without a root
         # depends on that round-off (tests/test_equilibria.py, draw 4)
-        c = kM_m / r2 / np.sqrt(r2)
-        force = (c @ node_products).reshape(nm, nm) @ A
+        np.divide(kM_m, r2, out=c)
+        np.divide(c, np.sqrt(r2, out=root), out=c)
+        np.dot(np.dot(c, node_products, out=pullback).reshape(nm, nm), A, out=force)
         if self_gravity:
             inv, diff = _softened_inverse_distances(Z, softening)
-            force -= PT @ (two_k * np.einsum("qp,qpi->qi", mm * inv**3, diff))
+            np.subtract(force, PT @ (two_k * np.einsum("qp,qpi->qi", mm * inv**3, diff)),
+                        out=force)
 
-        FFdot = y[:k].reshape(k * nm, 3).T @ block
-        F = FFdot[..., :3]
-        sigma = (F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0
-        return force - stress_divergence(F @ sigma.reshape(-1, 3, 3))
+        np.matmul(y[:k].reshape(k * nm, 3).T, block, out=FFdot)
+        np.dot(np.matmul(F.mT, FFdot, out=M).reshape(ns, 9 * k), L, out=sigma)
+        np.add(sigma, sigma0_rows, out=sigma)
+        # stress_divergence(F Sigma): the transposed stresses copied whole, then one product
+        np.copyto(piola_T, np.matmul(F, sigma.reshape(ns, 3, 3), out=piola).mT)
+        np.dot(stress_adjoint, piola_T.reshape(-1, 3), out=divergence)
+        return np.subtract(force, divergence, out=out)
 
     def jacobian(y):
         n = 3 * nm

@@ -5,9 +5,10 @@ returns for the same right-hand side and keywords, with each of the loop's
 gaps handed to scipy as a terminal event of direction -1: the same sample
 times and states, event times and states, nfev, status and message. The
 runs cover the capture equilibrium start, an impact, an escape, a finite
-max_step and a degree-2 body. The vendored tableau must equal scipy's, and
-the Brent root finder must equal scipy.optimize.brentq on generated
-brackets.
+max_step and a degree-2 body; the impact and escape runs reject steps, so
+the retry on the loop's reused buffers is compared too, and no run writes
+into the caller's y0. The vendored tableau must equal scipy's, and the
+Brent root finder must equal scipy.optimize.brentq on generated brackets.
 """
 
 import math
@@ -70,7 +71,9 @@ CASES = {
 def test_loop_equals_scipy_dop853_bit_for_bit(case):
     name, integrator = CASES[case]
     rhs, y0, span, kwargs = _problem(name, **integrator)
+    start = y0.copy()
     ours = dop853.solve_ivp(rhs, span, y0, **kwargs)
+    assert np.array_equal(y0, start)  # the loop's state buffers never alias the caller's y0
     ref = _scipy(rhs, span, y0, kwargs)
     assert ref.status == (1 if case in ("impact", "escape") else 0)
     assert (ours.status, ours.message, ours.nfev, ours.njev) == (
@@ -81,7 +84,10 @@ def test_loop_equals_scipy_dop853_bit_for_bit(case):
     for mine, theirs in zip(ours.t_events + ours.y_events, ref.t_events + ref.y_events,
                             strict=True):
         assert mine.shape == theirs.shape and np.array_equal(mine, theirs)
-    assert ours.n_steps > 0 and ours.n_rejected >= 0
+    assert ours.n_steps > 0
+    if case in ("impact", "escape"):
+        # rejected steps retried on the loop's reused buffers, matched above bit for bit
+        assert ours.n_rejected > 0
 
 
 def test_too_small_a_step_ends_the_run_with_scipys_message():

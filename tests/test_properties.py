@@ -12,6 +12,10 @@ derived apart from the kernel.  The integrator's
 prebuilt right-hand side and terminal events are checked, in the same
 cases, to equal the per-call formulas bit for bit, and require_regular to
 reject a state exactly where the singular or the impact event is <= 0.
+The kernel's and the right-hand side's results must not share their
+scratch, and the degree-1 singular gap, det3 on floats, must equal the
+array formula bit for bit on generated coefficients, signed zeros and
+near-singular gradients included.
 The monitor functions are checked on stacks of such states against their
 values state by state, angular_momentum's component-wise cross products
 against np.cross bit for bit, and the spin fit and the comoving frame against
@@ -24,8 +28,10 @@ mass matrix.
 
 import dataclasses
 import math
+import struct
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -276,6 +282,84 @@ def test_prebuilt_rhs_and_events_are_the_per_call_formulas(degree, eta, self_gra
             expected = (SingularConfigurationError if singular(0.0, y) <= 0.0
                         else ImpactProximityError if impact_at_r(0.0, y) <= 0.0 else None)
             assert _admissibility(body, moved, r) is expected, (scale, r)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@pytest.mark.parametrize("eta", [0.0, ETA])
+@pytest.mark.parametrize("degree", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_and_rhs_results_do_not_share_their_scratch(degree, eta, data):
+    # the kernel and rhs keep every intermediate in scratch of their own;
+    # kernel(y, out) fills out and returns it, and a result returned without
+    # out is a fresh array that later calls leave alone: Newton keeps its
+    # forces across calls and scipy's reference run keeps its stages
+    body = BODIES[degree]  # MAT has self-gravity on
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    a, b = (_state(body, data.draw(st.tuples(*RIGID, *noise))) for _ in range(2))
+    kernel = force_kernel(body, MAT, eta)
+    first = kernel(np.stack([a.q, a.qdot]))
+    kept = first.copy()
+    out = np.full_like(first, np.nan)
+    assert kernel(np.stack([a.q, a.qdot]), out) is out and _same_bits(out, kept)
+    kernel(np.stack([b.q, b.qdot]))
+    kernel(np.stack([b.q, b.qdot]), out)
+    assert _same_bits(first, kept)
+
+    rhs = _rhs(body, MAT, es.ViscosityParams(eta))
+    first = rhs(0.0, np.concatenate([a.q, a.qdot]))
+    kept = first.copy()
+    y = np.concatenate([b.q, b.qdot])
+    rhs(0.0, y)
+    rhs(0.0, y, np.empty_like(y))
+    assert _same_bits(first, kept)
+
+
+# entries of a degree-1 q: signed zeros, subnormals and the rest of [-2, 2]
+ENTRIES = st.one_of(st.floats(-2.0, 2.0), st.sampled_from([0.0, -0.0, 5e-324]))
+
+
+@st.composite
+def _degree_1_coefficients(draw):
+    """q of the degree-1 body, its x, y and z rows (Dzeta's columns) at times nearly dependent."""
+    q = draw(arrays(np.float64, 12, elements=ENTRIES))
+    if draw(st.booleans()):
+        rows = q.reshape(4, 3)
+        a, b = draw(st.floats(-2.0, 2.0)), draw(st.floats(-2.0, 2.0))
+        eps = draw(st.sampled_from([0.0, 1e-300, 1e-16, 1e-8]))
+        rows[3] = a * rows[1] + b * rows[2] + eps * rows[0]
+    return q
+
+
+@settings(max_examples=300, deadline=None)
+@given(q=_degree_1_coefficients(), qdot=_vectors(12, 1.0))
+def test_degree_1_singular_gap_is_det3_bit_for_bit(q, qdot):
+    # at degree 1 the gap evaluates det3 on floats; det <= 0, signed zeros
+    # and near-singular gradients included, it is the array formula's value
+    singular = _termination_events(BODIES[1], es.IntegratorSettings())[2]
+    gap = singular(0.0, np.concatenate([q, qdot]))
+    expected = float(np.min(det3(BODIES[1].distinct_gradients(q))))
+    assert type(gap) is float and struct.pack("<d", gap) == struct.pack("<d", expected)
+
+
+def test_singular_gap_takes_the_float_path_only_for_a_selecting_table(monkeypatch):
+    # det3 runs at degree 2 and for a degree-1 table that is not a 0/1
+    # selection of coefficient rows; the degree-1 body's own table skips it
+    calls = []
+    monkeypatch.setattr(es.dynamics, "det3", lambda F: calls.append(F.shape) or det3(F))
+    body1 = BODIES[1]
+    scaled = dataclasses.replace(body1, distinct_Gm=2.0 * body1.distinct_Gm)
+    for body, det3_shape in ((body1, None), (BODIES[2], (270, 3, 3)), (scaled, (1, 3, 3))):
+        calls.clear()
+        state = _state(body, (np.eye(3), np.ones(3), 3.0, np.zeros(3), np.zeros(3),
+                              0.01 * np.arange(body.n_modes), np.zeros(body.n_modes)))
+        singular = _termination_events(body, es.IntegratorSettings())[2]
+        gap = singular(0.0, np.concatenate([state.q, state.qdot]))
+        assert calls == ([] if det3_shape is None else [det3_shape])
+        assert gap == float(np.min(det3(body.distinct_gradients(state.q))))
 
 
 @PROPERTY

@@ -14,7 +14,11 @@ Times, with one BLAS thread:
   integrator's own arithmetic, the events and the dense output;
 - the pieces of a Newton iteration on their own: ``require_regular``, the
   admissibility check; ``force_kernel``, building the kernel a solve
-  holds (once per solve); ``conservative_force``, the admissible force
+  holds (once per solve), its scratch arrays included: a kernel keeps
+  every intermediate of a call in arrays allocated at its build, which
+  makes the build cost more (about 7 us at degree 1, against 2.5 us for
+  a kernel that allocates per call) and every call less;
+  ``conservative_force``, the admissible force
   (``require_regular`` then the prebuilt kernel); and ``kernel.jacobian``
   of a prebuilt kernel at eta = 0;
 - the integrator's three gaps (impact, escape, singular), each and their
