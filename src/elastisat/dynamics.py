@@ -6,7 +6,7 @@ f - g comes from energetics.force_kernel, the one force kernel: f is the
 exact gradient force of the conservative potentials and g the viscous
 force. The right-hand side is built once per run (_rhs): it holds one
 kernel, the inverse Gram matrix and one scratch for f - g, and each call
-passes the stacked (q, qdot) to the kernel and solves the mass matrix
+passes the flat state (q, qdot) to the kernel as it is and solves the mass matrix
 with one product into the stage row the integrator hands it, allocating
 no array. The integrator is the program's own DOP853 loop
 (dop853.solve_ivp, bit for bit scipy's solve_ivp with method DOP853), so
@@ -182,8 +182,8 @@ def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityPara
 
     y = (q, qdot), shape (2 * 3N,); rhs writes (qdot, M^-1 (f - g)) into
     out, the stage row the integrator hands it, and returns it. Without
-    out it returns a fresh array on every call. The kernel writes f - g
-    into one (nm, 3) scratch held per run, and np.dot (the BLAS gemm of
+    out it returns a fresh array on every call. The kernel reads y flat, as
+    it is, and writes f - g into one (nm, 3) scratch held per run; np.dot (the BLAS gemm of
     S_inv @ (f - g)) writes the product into the row, so a call handed out
     allocates no array and, like the kernel, is not reentrant.
     """
@@ -196,7 +196,7 @@ def _rhs(body: ReferenceBody, material: MaterialParams, viscosity: ViscosityPara
         ydot = np.empty_like(y) if out is None else out
         ydot[:nq] = y[nq:]
         # solve_mass: one product with the inverse Gram matrix, into ydot
-        np.dot(S_inv, kernel(y.reshape(2, nq), force), out=ydot[nq:].reshape(-1, 3))
+        np.dot(S_inv, kernel(y, force), ydot[nq:].reshape(-1, 3))
         return ydot
 
     return rhs

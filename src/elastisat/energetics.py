@@ -20,9 +20,10 @@ axes and return one value per state.
 
 force_kernel is the one force kernel: it takes every table of a body,
 material and viscosity once and returns kernel(y, out=None), the handle
-the integrator, the Newton solver and the spectrum hold; conservative_force
-is the kernel at an admissible point. A kernel keeps its intermediates
-in scratch of its own, so a call handed out allocates no array
+the integrator, the Newton solver and the spectrum hold, reading y flat
+(q, then qdot); conservative_force is the kernel at an admissible point.
+A kernel keeps its intermediates, and its views of them, in scratch of
+its own, so a call handed out allocates no array
 (self-gravity's pair tensors aside), and it is not reentrant. Because S
 is linear, its total stress S(E) + eta Cdot is one affine map of the
 entries of F^T F and F^T Fdot, tabulated from S(E) and cauchy_green_rate
@@ -210,13 +211,14 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
 
     Everything that depends only on the body, the material and eta is
     taken once here; the returned kernel(y) = f - g per monomial has shape
-    (n_monomials, 3). y stacks the Galerkin coefficients (q, qdot), shape
-    (2, 3N); with eta = 0 qdot is not read and y may hold q alone, shape
-    (1, 3N). f = -grad_q (U_g + U_sg + U_e) is the exact gradient of the
-    discretized potentials and g the Kelvin-Voigt force of viscosity eta.
+    (n_monomials, 3). y holds the Galerkin coefficients flat, q in its first
+    3N entries and qdot in the next 3N (a 1-D state or a (2, 3N) stack); with
+    eta = 0 qdot is not read and y may be q alone. f = -grad_q (U_g + U_sg +
+    U_e) is the exact gradient of the discretized potentials and g the
+    Kelvin-Voigt force of viscosity eta.
     kernel.jacobian(y) is d kernel / d y, shape (3N, k 3N) with k = 1 at
     eta = 0 and 2 otherwise: column w 3N + 3b + j is the derivative along
-    y[w, 3b + j], row 3a + i that of kernel(y)[a, i]. At eta = 0 it is
+    y's flat entry w 3N + 3b + j, row 3a + i that of kernel(y)[a, i]. At eta = 0 it is
     minus the potentials' Hessian; at eta > 0 it is the exact
     d(f - g)/d(q, qdot). kernel.body and kernel.params are its body and
     material. The integrator builds one kernel per run, Newton one per solve
@@ -226,8 +228,8 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     kernel(y, out) writes f - g into out, a C-contiguous float (nm, 3)
     array, and returns it; kernel(y) returns a fresh array, which later
     calls leave alone. Every intermediate (node positions, radii, c, the
-    gravity pullback, [F | Fdot], M, Sigma, the first Piola stress and its
-    divergence) lives in scratch allocated once per kernel; only
+    gravity pullback, [F | Fdot], M, Sigma, the transposed first Piola stress
+    and its divergence) lives in scratch allocated, and viewed, once per kernel; only
     self-gravity's pair tensors are built per call. So a kernel is not
     reentrant: one call at a time, and a kernel per thread. Each 2-D
     product is np.dot into its scratch, which calls the same BLAS gemm or
@@ -250,8 +252,9 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     M = F^T [F | Fdot] = [C | W], C = F^T F, W = F^T Fdot. The total second
     Piola stress S((C - I)/2) + eta (W + W^T), elastic plus viscous, is
     affine in the entries of M: M_flat @ L + sigma0 (_stress_map).
-    stress_divergence sums the first Piola stress F Sigma on the stress rule.
-    Along y[w, 3b + j], d[F | Fdot] is e_j times row w nm + b of
+    stress_divergence sums the first Piola stress F Sigma on the stress rule
+    from (F Sigma)^T = Sigma^T F^T, bit for bit np.matmul(F, Sigma).mT here.
+    Along y's entry w 3N + 3b + j, d[F | Fdot] is e_j times row w nm + b of
     stress_block, so dM = dF^T [F | Fdot] + F^T d[F | Fdot],
     dSigma = dM_flat @ L and d(F Sigma) = dF Sigma + F dSigma, summed by
     stress_divergence for every direction at once.
@@ -268,42 +271,46 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
     if self_gravity:
         PT, mm, softening = P.T, m[:, None] * m[None, :], params.softening
         two_k = 2.0 * params.self_gravity_k
-    # the kernel's scratch, one array per intermediate, written by every call
+    # the kernel's scratch, one array per intermediate written by every call, and its views
     nq, ns = len(P), len(block)
     Z, r2, c, root = np.empty((nq, 3)), np.empty(nq), np.empty(nq), np.empty(nq)
-    pullback, force, divergence = np.empty(nm * nm), np.empty((nm, 3)), np.empty((nm, 3))
+    pullback, force, divergence = np.empty((nm, nm)), np.empty((nm, 3)), np.empty((nm, 3))
     FFdot, M = np.empty((ns, 3, 3 * k)), np.empty((ns, 3, 3 * k))
-    sigma, piola, piola_T = np.empty((ns, 9)), np.empty((ns, 3, 3)), np.empty((ns, 3, 3))
-    F = FFdot[..., :3]
+    sigma, piola_T = np.empty((ns, 9)), np.empty((ns, 3, 3))
+    pullback_flat, F_T, M_flat = pullback.reshape(-1), FFdot[..., :3].mT, M.reshape(ns, 9 * k)
+    sigma_T, piola_T_rows = sigma.reshape(ns, 3, 3).mT, piola_T.reshape(-1, 3)
     sigma0_rows = np.empty((ns, 9))
     sigma0_rows[:] = sigma0  # one row per node: the add below does not broadcast
 
     def kernel(y, out=None):
-        A = y[0].reshape(nm, 3)
-        np.dot(P, A, out=Z)
-        np.vecdot(Z, Z, out=r2)
+        rows = y.reshape(-1, 3)[:k * nm]  # A, then Adot: its transpose is [A^T | Adot^T]
+        A = rows[:nm]
+        np.dot(P, A, Z)
+        np.vecdot(Z, Z, r2)
         # c_q; dividing by r2 and sqrt(r2) in turn rounds differently from one
         # division by their product, and Newton's stop on seeds without a root
         # depends on that round-off (tests/test_equilibria.py, draw 4)
-        np.divide(kM_m, r2, out=c)
-        np.divide(c, np.sqrt(r2, out=root), out=c)
-        np.dot(np.dot(c, node_products, out=pullback).reshape(nm, nm), A, out=force)
+        np.divide(kM_m, r2, c)
+        np.divide(c, np.sqrt(r2, root), c)
+        np.dot(c, node_products, pullback_flat)
+        np.dot(pullback, A, force)
         if self_gravity:
             inv, diff = _softened_inverse_distances(Z, softening)
             np.subtract(force, PT @ (two_k * np.einsum("qp,qpi->qi", mm * inv**3, diff)),
                         out=force)
 
-        np.matmul(y[:k].reshape(k * nm, 3).T, block, out=FFdot)
-        np.dot(np.matmul(F.mT, FFdot, out=M).reshape(ns, 9 * k), L, out=sigma)
-        np.add(sigma, sigma0_rows, out=sigma)
-        # stress_divergence(F Sigma): the transposed stresses copied whole, then one product
-        np.copyto(piola_T, np.matmul(F, sigma.reshape(ns, 3, 3), out=piola).mT)
-        np.dot(stress_adjoint, piola_T.reshape(-1, 3), out=divergence)
-        return np.subtract(force, divergence, out=out)
+        np.matmul(rows.T, block, FFdot)
+        np.matmul(F_T, FFdot, M)
+        np.dot(M_flat, L, sigma)
+        np.add(sigma, sigma0_rows, sigma)
+        # stress_divergence(F Sigma): (F Sigma)^T = Sigma^T F^T into scratch, then one product
+        np.matmul(sigma_T, F_T, piola_T)
+        np.dot(stress_adjoint, piola_T_rows, divergence)
+        return np.subtract(force, divergence, out)
 
     def jacobian(y):
         n = 3 * nm
-        A = y[0].reshape(nm, 3)
+        A = y.reshape(-1, 3)[:nm]
         Z = P @ A
         # gravity's node blocks c_q (I - 3 Z Z^T / r^2), flattened to 9 entries,
         # and the pair blocks keep the rounding the Hessian has always had
@@ -336,10 +343,10 @@ def force_kernel(body: ReferenceBody, params: MaterialParams, eta: float = 0.0):
         node_blocks = (node_products.T @ blocks).reshape(nm, nm, 3, 3)
         Jq += node_blocks.transpose(0, 2, 1, 3).reshape(n, n)
 
-        FFdot = y[:k].reshape(k * nm, 3).T @ block
+        FFdot = y.reshape(-1, 3)[:k * nm].T @ block
         F = FFdot[..., :3]
         sigma = ((F.mT @ FFdot).reshape(-1, 9 * k) @ L + sigma0).reshape(-1, 3, 3)
-        # along y[w, 3b + j], d[F | Fdot] at node s is e_j g^T with g = G[w nm + b, s],
+        # along y's entry w 3N + 3b + j, d[F | Fdot] at node s is e_j g^T with g = G[w nm + b, s],
         # so dF^T [F | Fdot] and F^T d[F | Fdot] are the outer products below
         # and dF Sigma has the one row g[:3] Sigma, in row j; axes (w nm + b, j, s, ., .)
         G = block.transpose(1, 0, 2)
@@ -384,7 +391,7 @@ def conservative_force(kernel, q: np.ndarray) -> np.ndarray:
     """
     state = DeformationState(q, np.zeros_like(q))
     require_regular(kernel.body, state)
-    return kernel(state.q[None]).reshape(-1)
+    return kernel(state.q).reshape(-1)
 
 
 def gravity_third_derivatives(Y, kM: float):

@@ -126,7 +126,7 @@ def equilibrium_jacobian(kernel, q: np.ndarray, omega) -> np.ndarray:
     nm, n = A.shape[0], q.size
     W = skew(omega)
     Dq, Dv = _momentum_jacobian(body, q, equilibrium_velocity(q, omega))
-    Hqq = -kernel.jacobian(q[None])
+    Hqq = -kernel.jacobian(q)
     # kron(S, W^2) added entry by entry: S_ab (W^2)_ij at (3a + i, 3b + j)
     Hqq.reshape(nm, 3, nm, 3)[...] += body.S[:, None, :, None] * (W @ W)[:, None, :]
     J = np.empty((n + 3, n + 3))
@@ -363,7 +363,7 @@ def nondegeneracy_spectrum(
     n = q.size
     M = mass_matrix(body)
 
-    Hqq = -force_kernel(body, material).jacobian(q[None])
+    Hqq = -force_kernel(body, material).jacobian(q)
     Rot = np.kron(np.eye(n // 3), skew(eq.omega))
     Hfull = np.block([[Hqq, -Rot.T @ M], [-M @ Rot, M]])
     Dq, Dv = _momentum_jacobian(body, q, v)

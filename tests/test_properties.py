@@ -13,7 +13,10 @@ prebuilt right-hand side and terminal events are checked, in the same
 cases, to equal the per-call formulas bit for bit, and require_regular to
 reject a state exactly where the singular or the impact event is <= 0.
 The kernel's and the right-hand side's results must not share their
-scratch, and the degree-1 singular gap, det3 on floats, must equal the
+scratch, the kernel and its Jacobian must read the state's flat layout,
+the kernel's transposed stress product Sigma^T F^T must be (F Sigma)^T bit
+for bit on operands laid out as the kernel's, and the degree-1 singular
+gap, det3 on floats, must equal the
 array formula bit for bit on generated coefficients, signed zeros and
 near-singular gradients included.
 The monitor functions are checked on stacks of such states against their
@@ -316,6 +319,46 @@ def test_kernel_and_rhs_results_do_not_share_their_scratch(degree, eta, data):
     rhs(0.0, y)
     rhs(0.0, y, np.empty_like(y))
     assert _same_bits(first, kept)
+
+
+@pytest.mark.parametrize("eta", [0.0, ETA])
+@pytest.mark.parametrize("degree", [1, 2])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_kernel_and_its_jacobian_read_the_flat_layout(degree, eta, data):
+    # kernel(y) and kernel.jacobian(y) read y's flat layout, q in its first
+    # 3N entries and qdot in the next 3N: the integrator's 1-D state and a
+    # (2, 3N) stack give the same bits, and at eta = 0 qdot is not read, so
+    # q alone gives them too and any qdot, NaN and inf included, leaves them
+    body = BODIES[degree]  # MAT has self-gravity on
+    noise = (_vectors(body.n_modes, 0.1), _vectors(body.n_modes, 0.3))
+    state = _state(body, data.draw(st.tuples(*RIGID, *noise)))
+    kernel = force_kernel(body, MAT, eta)
+    flat = np.concatenate([state.q, state.qdot])
+    other_qdot = np.concatenate([state.q, data.draw(arrays(np.float64, body.n_modes))])
+    for evaluate in (kernel, kernel.jacobian):
+        expected = evaluate(np.stack([state.q, state.qdot]))
+        assert _same_bits(evaluate(flat), expected)
+        if eta == 0.0:
+            assert _same_bits(evaluate(state.q), expected)
+            assert _same_bits(evaluate(other_qdot), expected)
+
+
+@settings(max_examples=50, deadline=None)
+@given(ns=st.sampled_from([len(BODIES[d].stress_block) for d in (1, 2)]),
+       k=st.sampled_from([1, 2]), data=st.data())
+def test_transposed_stress_product_is_the_transposed_product(ns, k, data):
+    # the kernel writes (F Sigma)^T as Sigma^T F^T straight into its scratch;
+    # that must be np.matmul(F, Sigma).mT bit for bit, with the operands laid
+    # out as the kernel lays them: F the [..., :3] view of the (ns, 3, 3k)
+    # [F | Fdot], Sigma a view of the (ns, 9) stress rows; ns = 2 and 60 are
+    # the stress rules at basis degrees 1 and 2
+    entries = st.floats(-1e100, 1e100)  # signed zeros and subnormals included, no overflow
+    FFdot = data.draw(arrays(np.float64, (ns, 3, 3 * k), elements=entries))
+    sigma = data.draw(arrays(np.float64, (ns, 9), elements=entries))
+    F, Sigma = FFdot[..., :3], sigma.reshape(ns, 3, 3)
+    transposed = np.matmul(Sigma.mT, F.mT, out=np.empty((ns, 3, 3)))
+    assert _same_bits(transposed, np.ascontiguousarray(np.matmul(F, Sigma).mT))
 
 
 # entries of a degree-1 q: signed zeros, subnormals and the rest of [-2, 2]

@@ -4,14 +4,22 @@
 
 Times, with one BLAS thread:
 
-- ``rhs``, the right-hand side ``dynamics._rhs`` builds once per run and
-  the integrator calls at every stage, without the integrator's own
-  overhead (perfbench's ``dynamics.rhs_us`` includes it);
+- ``kernel``, the force kernel ``dynamics._rhs`` holds, called as the
+  right-hand side calls it: the flat state (q, qdot) in, f - g into the
+  right-hand side's (nm, 3) scratch;
+- ``rhs``, the right-hand side ``dynamics._rhs`` builds once per run,
+  called as the integrator calls it at every stage, writing into a row of
+  an array of stages, without the integrator's own overhead (perfbench's
+  ``dynamics.rhs_us`` includes it);
 - ``loop_per_step``, that overhead: the wall time of a 30-time-unit
   integration of the capture start (``dop853.solve_ivp`` with the
   settings, samples and events ``integrate`` passes it), less ``nfev``
-  times the ``rhs`` figure, divided by the accepted steps; it holds the
-  integrator's own arithmetic, the events and the dense output;
+  times the cost of one ``rhs`` call, divided by the accepted steps; it
+  holds the integrator's own arithmetic, the events and the dense output.
+  R pairs alternate one batch of ``rhs`` calls and one integration, each
+  pair gives one figure from its own ``rhs`` batch, and the median over
+  the pairs is reported, so a drift in the machine's speed shifts the two
+  terms of a pair together;
 - the pieces of a Newton iteration on their own: ``require_regular``, the
   admissibility check; ``force_kernel``, building the kernel a solve
   holds (once per solve), its scratch arrays included: a kernel keeps
@@ -37,7 +45,7 @@ Each routine runs on the equilibrium start of ``scenarios/capture.yaml``
 degree 2; the catalog body takes the same basis degree. Each figure is the
 best of R repeats of a batch of calls that takes at least 0.2 s, divided
 by the batch size: the best repeat is the one least disturbed by other
-work on the machine. ``loop_per_step`` takes the best of R integrations.
+work on the machine. ``loop_per_step`` is the median of its R pairs.
 """
 
 from __future__ import annotations
@@ -48,6 +56,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import statistics  # noqa: E402
 import time  # noqa: E402
 import timeit  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -57,6 +66,7 @@ import yaml  # noqa: E402
 
 from elastisat import dynamics  # noqa: E402
 from elastisat.body_model import require_regular  # noqa: E402
+from elastisat.dop853 import N_STAGES_EXTENDED  # noqa: E402
 from elastisat.dynamics import _rhs, _termination_events  # noqa: E402
 from elastisat.energetics import conservative_force, force_kernel  # noqa: E402
 from elastisat.equilibria import (equilibrium_jacobian, equilibrium_residual,  # noqa: E402
@@ -79,14 +89,16 @@ def _calls(degree: int) -> dict:
     body, mat = sc.body, sc.material
     state = sc.initial_state()
     y = np.concatenate([state.q, state.qdot])
-    rhs = _rhs(body, mat, sc.viscosity)
+    loop_kernel, force = force_kernel(body, mat, sc.viscosity.eta), np.empty((len(y) // 6, 3))
+    rhs, stage = _rhs(body, mat, sc.viscosity), np.empty((N_STAGES_EXTENDED, len(y)))[1]
     kernel = force_kernel(body, mat)
     calls = {
-        "rhs": lambda: rhs(0.0, y),
+        "kernel": lambda: loop_kernel(y, force),
+        "rhs": lambda: rhs(0.0, y, stage),
         "require_regular": lambda: require_regular(body, state),
         "force_kernel": lambda: force_kernel(body, mat),
         "conservative_force": lambda: conservative_force(kernel, state.q),
-        "kernel.jacobian": lambda: kernel.jacobian(state.q[None]),
+        "kernel.jacobian": lambda: kernel.jacobian(state.q),
     }
     events = _termination_events(body, sc.settings)
     for event in events:
@@ -113,8 +125,11 @@ def _calls(degree: int) -> dict:
 LOOP_T_END = 30.0
 
 
-def loop_us_per_step(degree: int, rhs_us: float, repeat: int) -> float:
-    """The integrator's own cost per accepted step on LOOP_T_END time units of the capture start."""
+def loop_us_per_step(degree: int, rhs_call, repeat: int) -> float:
+    """The integrator's own cost per accepted step on LOOP_T_END time units of the capture start.
+
+    The median over repeat pairs of (an rhs_call batch, one integration).
+    """
     sc = _scenario("capture.yaml", degree)
     state = sc.initial_state()
     settings = sc.settings
@@ -124,12 +139,16 @@ def loop_us_per_step(degree: int, rhs_us: float, repeat: int) -> float:
                   events=_termination_events(sc.body, settings))
     rhs = _rhs(sc.body, sc.material, sc.viscosity)
     y0 = np.concatenate([state.q, state.qdot])
-    wall = []
+    timer = timeit.Timer(rhs_call)
+    number, _ = timer.autorange()
+    per_pair = []
     for _ in range(repeat):
+        rhs_us = timer.timeit(number) / number * 1e6
         start = time.perf_counter()
         sol = dynamics.solve_ivp(rhs, (0.0, LOOP_T_END), y0, **kwargs)
-        wall.append(time.perf_counter() - start)
-    return (min(wall) * 1e6 - sol.nfev * rhs_us) / sol.n_steps
+        wall_us = (time.perf_counter() - start) * 1e6
+        per_pair.append((wall_us - sol.nfev * rhs_us) / sol.n_steps)
+    return statistics.median(per_pair)
 
 
 def best_us(call, repeat: int) -> float:
@@ -149,7 +168,7 @@ def main(argv=None) -> int:
             us = best_us(call, args.repeat) / per_call
             print(f"{degree:>6}  {name:<26} {us:>9.2f}", flush=True)
             if name == "rhs":
-                us = loop_us_per_step(degree, us, args.repeat)
+                us = loop_us_per_step(degree, call, args.repeat)
                 print(f"{degree:>6}  {'loop_per_step':<26} {us:>9.2f}", flush=True)
     return 0
 
